@@ -27,7 +27,7 @@ from .core import (
     TokenId,
     validate_config,
 )
-from .encoding import EncodedContext, Tokenizer, encode_context, utterance_representations
+from .encoding import EncodedContext, Tokenizer, encode_context
 from .errors import (
     ArgumentError,
     DecodingError,
@@ -58,10 +58,8 @@ from .scoring import (
 from .strategies import (
     Rng,
     beam_search,
-    contrastive_step,
     generate,
     greedy_step,
-    ips_step,
     nucleus_set,
     nucleus_step,
     topk_set,
@@ -98,7 +96,6 @@ __all__ = [
     "ValidationError",
     "VocabError",
     "beam_search",
-    "contrastive_step",
     "cosine",
     "degeneration_penalty",
     "diagnostics",
@@ -107,7 +104,6 @@ __all__ = [
     "generate",
     "greedy_step",
     "ips_score",
-    "ips_step",
     "isotropic_value",
     "load_scripted",
     "nucleus_set",
@@ -118,7 +114,6 @@ __all__ = [
     "similarity_heatmap",
     "topk_set",
     "topk_step",
-    "utterance_representations",
     "validate_config",
     "write_heatmap_csv",
 ]

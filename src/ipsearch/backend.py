@@ -332,8 +332,8 @@ class RemoteBackend(Backend):
     The constructor performs the /info request and fails fast when the
     endpoint is unreachable or replies out of schema. Servers may return
     "logits" instead of "probs"; logits are normalized client-side with a
-    softmax. A requests.Session pools connections, so callers need no
-    external locking.
+    softmax. The client keeps one requests.Session, which requests does not
+    document as thread-safe: use one RemoteBackend per thread.
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):

@@ -15,7 +15,15 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .backend import Backend, RemoteBackend, TinyTransformer, load_scripted
-from .core import DialogueContext, StrategyConfig, TokenId, validate_config
+from .core import (
+    BOOTSTRAP_STRATEGIES,
+    PENALTY_FORMS,
+    STRATEGIES,
+    DialogueContext,
+    StrategyConfig,
+    TokenId,
+    validate_config,
+)
 from .encoding import Tokenizer, encode_context
 from .errors import ArgumentError, DecodingError, RangeError
 from .metrics import diagnostics, distinct_n, similarity_heatmap, write_heatmap_csv
@@ -223,9 +231,7 @@ def _compare_row(backend, records, cfg) -> dict:
         elapsed.append(result.elapsed)
         hiddens = _response_hiddens(backend, enc, result.tokens)
         if hiddens:
-            out = backend.forward(list(enc.tokens), want_all_hidden=True)
-            ureps = [out.hidden_all[p] for p in enc.eou_positions]
-            diag = diagnostics(result, hiddens, ureps)
+            diag = diagnostics(result, hiddens, result.utterance_reps)
             intra.append(diag.mean_intra_response_cosine)
             context.append(diag.mean_context_cosine)
     return {
@@ -338,13 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--config", help="JSON file with StrategyConfig fields")
     common.add_argument("--vocab", help="JSON word->id map enabling whitespace tokenization")
-    common.add_argument("--strategy", choices=["greedy", "beam", "topk", "nucleus", "contrastive", "ips"])
+    common.add_argument("--strategy", choices=STRATEGIES)
     common.add_argument("--alpha", type=float)
     common.add_argument("--beta", type=float)
-    common.add_argument("--penalty-form", dest="penalty_form", choices=["eq5", "beta"])
+    common.add_argument("--penalty-form", dest="penalty_form", choices=PENALTY_FORMS)
     common.add_argument("--m", type=int)
     common.add_argument("--first-n", dest="first_n", type=int)
-    common.add_argument("--first-strategy", dest="first_strategy", choices=["topk", "nucleus", "greedy"])
+    common.add_argument("--first-strategy", dest="first_strategy", choices=BOOTSTRAP_STRATEGIES)
     common.add_argument("--first-k", dest="first_k", type=int)
     common.add_argument("--first-p", dest="first_p", type=float)
     common.add_argument("--beam-width", dest="beam_width", type=int)

@@ -195,10 +195,15 @@ class StepRecord:
 
 @dataclass
 class GenerationResult:
-    """Outcome of one generation run."""
+    """Outcome of one generation run.
+
+    ``utterance_reps`` holds the hidden state at each EOU separator of the
+    context, read from the context pass the decoder ran.
+    """
 
     tokens: list[TokenId]
     per_step: list[StepRecord]
     stop_reason: str  # "eou" | "max_len"
     elapsed: float
     text: Optional[str] = None
+    utterance_reps: Optional[list[np.ndarray]] = None

@@ -9,9 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from .backend import Backend
 from .core import DialogueContext, TokenId
 from .errors import ArgumentError
 
@@ -45,12 +42,6 @@ def encode_context(ctx: DialogueContext, eou: TokenId) -> EncodedContext:
         eou_positions=tuple(positions),
         n_utterances=len(ctx.utterances),
     )
-
-
-def utterance_representations(enc: EncodedContext, backend: Backend) -> list[np.ndarray]:
-    """Hidden state at each EOU position of one full-context forward pass."""
-    out = backend.forward(list(enc.tokens), want_all_hidden=True)
-    return [out.hidden_all[p] for p in enc.eou_positions]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import Backend
+from .backend import Backend, StepOutput
 from .core import (
     CandidateScore,
     DialogueContext,
@@ -120,6 +121,16 @@ def nucleus_step(probs, p: float, rng: Rng) -> TokenId:
     return _sample(ids, [float(v[i]) for i in ids], rng)
 
 
+def _context_pass(backend: Backend, enc: EncodedContext) -> tuple[StepOutput, list[np.ndarray]]:
+    """The one forward over the encoded context, with every hidden state.
+
+    Returns that output, whose distribution is the first decoding step's,
+    and the utterance representations read at the EOU positions.
+    """
+    out = backend.forward(list(enc.tokens), want_all_hidden=True)
+    return out, [out.hidden_all[p] for p in enc.eou_positions]
+
+
 def beam_search(
     backend: Backend, enc: EncodedContext, width: int, max_new_tokens: int
 ) -> GenerationResult:
@@ -127,7 +138,9 @@ def beam_search(
 
     Beams that emit EOU are frozen; the highest-scoring finished beam wins
     (best unfinished one at the length cap when none finished), with ties
-    going to the lexicographically smallest token sequence.
+    going to the lexicographically smallest token sequence. The first
+    expansion comes from the context pass, so the backend must serve the
+    context with all hidden states.
     """
     if not isinstance(width, int) or width < 1:
         raise RangeError("beam_width", f"must be an integer >= 1, got {width!r}")
@@ -135,6 +148,7 @@ def beam_search(
     info = backend.info
     eou = info.eou_token_id
     base = list(enc.tokens)
+    ctx_out, utterance_reps = _context_pass(backend, enc)
 
     # Each beam: (tokens, total logprob, per-token model probs).
     live: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = [((), 0.0, ())]
@@ -142,7 +156,7 @@ def beam_search(
     for _ in range(max_new_tokens):
         candidates = []
         for tokens, logp, probs_path in live:
-            out = backend.forward(base + list(tokens))
+            out = backend.forward(base + list(tokens)) if tokens else ctx_out
             step_probs = np.asarray(out.probs, dtype=float)
             for t in range(info.vocab_size):
                 pt = float(step_probs[t])
@@ -165,104 +179,75 @@ def beam_search(
         per_step=[StepRecord(token=t, prob=p) for t, p in zip(tokens, probs_path)],
         stop_reason="eou" if tokens and tokens[-1] == eou else "max_len",
         elapsed=time.perf_counter() - t0,
+        utterance_reps=utterance_reps,
     )
 
 
-def _argmax_candidate(candidates: list[CandidateScore]) -> CandidateScore:
-    # Candidates arrive in ascending token-id order; strict > keeps the
-    # lowest id on ties.
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand.score > best.score:
-            best = cand
-    return best
+def _sample_token(rule: str, probs: np.ndarray, cfg: StrategyConfig, rng: Rng) -> TokenId:
+    """One draw under a sampling rule: the greedy, topk and nucleus
+    strategies, and the bootstrap steps of the isotropic-proximal search."""
+    if rule == "topk":
+        return topk_step(probs, cfg.bootstrap_k, rng)
+    if rule == "nucleus":
+        return nucleus_step(probs, cfg.bootstrap_p, rng)
+    return greedy_step(probs)
 
 
-def _contrastive_candidates(
+def _ips_candidate(
+    state: GenerationState, cfg: StrategyConfig, token: TokenId, prob: float, hidden: np.ndarray
+) -> CandidateScore:
+    p_val = proximal_value(hidden, state.generated_hiddens)
+    if cfg.strict_isotropy and state.step >= 1:
+        rep = state.response_rep
+    else:
+        rep = response_representation(state.generated_hiddens, candidate=hidden)
+    i_val = isotropic_value(rep, state.utterance_reps)
+    return CandidateScore(
+        token=token,
+        prob=prob,
+        p_value=p_val,
+        i_value=i_val,
+        score=ips_score(prob, p_val, i_val, cfg),
+        hidden=hidden,
+    )
+
+
+def _contrastive_candidate(
+    prefix_hiddens: list[np.ndarray], alpha: float, token: TokenId, prob: float, hidden: np.ndarray
+) -> CandidateScore:
+    """Confidence minus max similarity to any prefix token (context and
+    generated alike)."""
+    penalty = degeneration_penalty(hidden, prefix_hiddens)
+    return CandidateScore(
+        token=token,
+        prob=prob,
+        penalty=penalty,
+        score=(1.0 - alpha) * prob - alpha * penalty,
+        hidden=hidden,
+    )
+
+
+def _search_step(
     backend: Backend,
     prefix: list[int],
-    k: int,
-    alpha_cs: float,
-    prefix_hiddens: Sequence,
-) -> list[CandidateScore]:
-    out = backend.forward(prefix)
-    probs = np.asarray(out.probs, dtype=float)
-    ids = sorted(topk_set(probs, k))
-    hiddens = backend.forward_candidates(prefix, ids)
-    scored = []
-    for token, hidden in zip(ids, hiddens):
-        prob = float(probs[token])
-        penalty = degeneration_penalty(hidden, prefix_hiddens)
-        scored.append(
-            CandidateScore(
-                token=token,
-                prob=prob,
-                penalty=penalty,
-                score=(1.0 - alpha_cs) * prob - alpha_cs * penalty,
-                hidden=hidden,
-            )
-        )
-    return scored
+    probs: np.ndarray,
+    m: int,
+    score: Callable[[TokenId, float, np.ndarray], CandidateScore],
+) -> tuple[StepRecord, np.ndarray]:
+    """Probe the top-m candidates and keep the best-scoring one.
 
-
-def contrastive_step(
-    backend: Backend,
-    state: GenerationState,
-    enc: EncodedContext,
-    k: int,
-    alpha_cs: float,
-    context_hiddens: Optional[Sequence] = None,
-) -> TokenId:
-    """One step of the contrastive baseline: confidence minus max similarity
-    to any prefix token (context and generated alike)."""
-    prefix = list(enc.tokens) + state.generated
-    if context_hiddens is None:
-        context_hiddens = backend.forward(list(enc.tokens), want_all_hidden=True).hidden_all
-    prefix_hiddens = list(context_hiddens) + list(state.generated_hiddens)
-    scored = _contrastive_candidates(backend, prefix, k, alpha_cs, prefix_hiddens)
-    return _argmax_candidate(scored).token
-
-
-def _ips_candidates(
-    backend: Backend, state: GenerationState, enc: EncodedContext, cfg: StrategyConfig
-) -> list[CandidateScore]:
-    prefix = list(enc.tokens) + state.generated
-    out = backend.forward(prefix)
-    probs = np.asarray(out.probs, dtype=float)
-    ids = sorted(topk_set(probs, cfg.m))
-    hiddens = backend.forward_candidates(prefix, ids)
-    scored = []
-    for token, hidden in zip(ids, hiddens):
-        prob = float(probs[token])
-        p_val = proximal_value(hidden, state.generated_hiddens)
-        if cfg.strict_isotropy and state.step >= 1:
-            rep = state.response_rep
-        else:
-            rep = response_representation(state.generated_hiddens, candidate=hidden)
-        i_val = isotropic_value(rep, state.utterance_reps)
-        scored.append(
-            CandidateScore(
-                token=token,
-                prob=prob,
-                p_value=p_val,
-                i_value=i_val,
-                score=ips_score(prob, p_val, i_val, cfg),
-                hidden=hidden,
-            )
-        )
-    return scored
-
-
-def ips_step(
-    backend: Backend, state: GenerationState, enc: EncodedContext, cfg: StrategyConfig
-) -> tuple[TokenId, StepRecord]:
-    """One isotropic-proximal step over the model's top-m candidates.
-
-    Scores every candidate, returns the argmax (ties to the lower id) along
-    with the full per-candidate record.
+    Returns the step record, with every candidate's breakdown, and the
+    chosen candidate's hidden state.
     """
-    scored = _ips_candidates(backend, state, enc, cfg)
-    best = _argmax_candidate(scored)
+    ids = sorted(topk_set(probs, m))
+    hiddens = backend.forward_candidates(prefix, ids)
+    scored = [score(token, float(probs[token]), hidden) for token, hidden in zip(ids, hiddens)]
+    # Candidates are in ascending token-id order; strict > keeps the lowest
+    # id on ties.
+    best = scored[0]
+    for cand in scored[1:]:
+        if cand.score > best.score:
+            best = cand
     record = StepRecord(
         token=best.token,
         prob=best.prob,
@@ -271,23 +256,18 @@ def ips_step(
         score=best.score,
         candidates=scored,
     )
-    return best.token, record
-
-
-def _bootstrap_token(probs, cfg: StrategyConfig, rng: Rng) -> TokenId:
-    if cfg.bootstrap_strategy == "topk":
-        return topk_step(probs, cfg.bootstrap_k, rng)
-    if cfg.bootstrap_strategy == "nucleus":
-        return nucleus_step(probs, cfg.bootstrap_p, rng)
-    return greedy_step(probs)
+    return record, best.hidden
 
 
 def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> GenerationResult:
     """Run one full generation: encode, cache utterance representations, decode.
 
-    Stops at the first generated EOU or at max_new_tokens. For the
-    isotropic-proximal strategy, the first bootstrap_n steps use the
-    configured bootstrap rule; later steps are deterministic given the
+    Stops at the first generated EOU or at max_new_tokens. The context pass
+    supplies both the utterance representations and the first step's
+    distribution; each later step runs one forward over the prefix. The
+    contrastive and isotropic-proximal strategies score the model's top-m
+    candidates; for the latter, the first bootstrap_n steps use the
+    configured bootstrap rule, and later steps are deterministic given the
     prefix.
     """
     info = backend.info
@@ -299,54 +279,46 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
         result = beam_search(backend, enc, cfg.beam_width, cfg.max_new_tokens)
         return replace(result, elapsed=time.perf_counter() - t0)
 
-    ctx_out = backend.forward(list(enc.tokens), want_all_hidden=True)
-    utterance_reps = [ctx_out.hidden_all[p] for p in enc.eou_positions]
+    ctx_out, utterance_reps = _context_pass(backend, enc)
     state = GenerationState(utterance_reps=utterance_reps)
+    rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
     records: list[StepRecord] = []
     generated: list[int] = []
+    probs = np.asarray(ctx_out.probs, dtype=float)
     stop_reason = "max_len"
 
-    while len(generated) < cfg.max_new_tokens:
+    while True:
         prefix = list(enc.tokens) + generated
-        if cfg.strategy == "ips":
-            if state.step < cfg.bootstrap_n:
-                probs = backend.forward(prefix).probs
-                token = _bootstrap_token(probs, cfg, rng)
-                hidden = backend.forward_candidates(prefix, [token])[0]
-                record = StepRecord(token=token, prob=float(probs[token]))
-            else:
-                token, record = ips_step(backend, state, enc, cfg)
-                hidden = next(c.hidden for c in record.candidates if c.token == token)
-            state.append(token, hidden)
-        elif cfg.strategy == "contrastive":
-            prefix_hiddens = list(ctx_out.hidden_all) + list(state.generated_hiddens)
-            scored = _contrastive_candidates(backend, prefix, cfg.m, cfg.alpha, prefix_hiddens)
-            best = _argmax_candidate(scored)
-            token = best.token
-            record = StepRecord(
-                token=token, prob=best.prob, score=best.score, candidates=scored
+        if cfg.strategy == "contrastive":
+            score = partial(
+                _contrastive_candidate, list(ctx_out.hidden_all) + state.generated_hiddens, cfg.alpha
             )
-            state.append(token, best.hidden)
+            record, hidden = _search_step(backend, prefix, probs, cfg.m, score)
+            state.append(record.token, hidden)
+        elif cfg.strategy == "ips" and state.step >= cfg.bootstrap_n:
+            score = partial(_ips_candidate, state, cfg)
+            record, hidden = _search_step(backend, prefix, probs, cfg.m, score)
+            state.append(record.token, hidden)
         else:
-            probs = backend.forward(prefix).probs
-            if cfg.strategy == "greedy":
-                token = greedy_step(probs)
-            elif cfg.strategy == "topk":
-                token = topk_step(probs, cfg.bootstrap_k, rng)
-            else:  # nucleus
-                token = nucleus_step(probs, cfg.bootstrap_p, rng)
+            token = _sample_token(rule, probs, cfg, rng)
             record = StepRecord(token=token, prob=float(probs[token]))
+            if cfg.strategy == "ips":
+                state.append(token, backend.forward_candidates(prefix, [token])[0])
 
-        generated.append(token)
+        generated.append(record.token)
         records.append(record)
-        if token == info.eou_token_id:
+        if record.token == info.eou_token_id:
             stop_reason = "eou"
             break
+        if len(generated) == cfg.max_new_tokens:
+            break
+        probs = np.asarray(backend.forward(prefix + [record.token]).probs, dtype=float)
 
     return GenerationResult(
         tokens=generated,
         per_step=records,
         stop_reason=stop_reason,
         elapsed=time.perf_counter() - t0,
+        utterance_reps=utterance_reps,
     )

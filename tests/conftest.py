@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ipsearch import BackendInfo, DialogueContext, ScriptedBackend, StepOutput, TinyTransformer
+from ipsearch import Backend, BackendInfo, DialogueContext, ScriptedBackend, StepOutput, TinyTransformer
 
 TINY_ARGS = dict(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2)
 
@@ -12,6 +12,29 @@ TINY_ARGS = dict(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2)
 @pytest.fixture(scope="session")
 def tiny_backend():
     return TinyTransformer(**TINY_ARGS)
+
+
+class CountingBackend(Backend):
+    """Delegates to ``inner`` and counts the ``forward`` calls made through it.
+
+    ``forward_candidates`` goes straight to ``inner``, so candidate probes are
+    not counted as forwards.
+    """
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.forward_calls = 0
+
+    @property
+    def info(self) -> BackendInfo:
+        return self.inner.info
+
+    def forward(self, prefix, want_all_hidden=False):
+        self.forward_calls += 1
+        return self.inner.forward(prefix, want_all_hidden)
+
+    def forward_candidates(self, prefix, candidates):
+        return self.inner.forward_candidates(prefix, candidates)
 
 
 def make_contexts(count: int, vocab_size: int = 64, eou: int = 63, seed: int = 7):

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from ipsearch import distinct_n, read_heatmap_csv, similarity_heatmap
+from ipsearch import cli
 from ipsearch.cli import main
+
+from conftest import CountingBackend
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TINY = "tiny:42,64,16,2,2"
@@ -183,6 +186,24 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert "strategy" in printed and "dist2" in printed
         assert "greedy" in printed and "topk" in printed
+
+    def test_one_extra_forward_per_reply(self, tmp_path, records_file, monkeypatch, tiny_backend):
+        # Diagnostics reuse the utterance representations of the decoder's
+        # context pass; only the response's hidden states cost a forward.
+        backend = CountingBackend(tiny_backend)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: backend)
+        generate, inside = cli.generate, []
+
+        def counted_generate(b, ctx, cfg):
+            before = backend.forward_calls
+            result = generate(b, ctx, cfg)
+            inside.append(backend.forward_calls - before)
+            return result
+
+        monkeypatch.setattr(cli, "generate", counted_generate)
+        self.run_compare(tmp_path, records_file, "greedy,ips", "1,2")
+        assert len(inside) == 3 * 2 * 2
+        assert backend.forward_calls - sum(inside) == len(inside)
 
 
 class TestHeatmap:

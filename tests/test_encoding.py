@@ -12,9 +12,10 @@ from ipsearch import (
     DialogueContext,
     ScriptedBackend,
     StepOutput,
+    StrategyConfig,
     Tokenizer,
     encode_context,
-    utterance_representations,
+    generate,
 )
 
 
@@ -60,6 +61,12 @@ class TestEncodeContext:
         assert recovered == utterances
 
 
+def utterance_reps(backend, ctx):
+    """Utterance representations as ``generate`` reports them for a one-token reply."""
+    cfg = StrategyConfig(strategy="greedy", m=2, bootstrap_k=2, max_new_tokens=1)
+    return generate(backend, ctx, cfg).utterance_reps
+
+
 class TestUtteranceRepresentations:
     def test_single_utterance_is_final_position(self):
         info = BackendInfo(vocab_size=4, hidden_dim=2, eou_token_id=3)
@@ -68,14 +75,14 @@ class TestUtteranceRepresentations:
             info,
             {(1, 3): StepOutput(probs=np.full(4, 0.25), hidden_last=hall[-1], hidden_all=hall)},
         )
-        enc = encode_context(DialogueContext([[1]]), eou=3)
-        reps = utterance_representations(enc, backend)
+        reps = utterance_reps(backend, DialogueContext([[1]]))
         assert len(reps) == 1
         np.testing.assert_array_equal(reps[0], [0.0, 1.0])
 
     def test_three_utterances_pick_basis_vectors(self):
         info = BackendInfo(vocab_size=5, hidden_dim=3, eou_token_id=4)
-        enc = encode_context(DialogueContext([[0], [1], [2]]), eou=4)
+        ctx = DialogueContext([[0], [1], [2]])
+        enc = encode_context(ctx, eou=4)
         assert list(enc.tokens) == [0, 4, 1, 4, 2, 4]
         basis = np.eye(3)
         hall = [basis[i % 3] for i in range(6)]
@@ -83,15 +90,16 @@ class TestUtteranceRepresentations:
             info,
             {tuple(enc.tokens): StepOutput(probs=np.full(5, 0.2), hidden_last=hall[-1], hidden_all=hall)},
         )
-        reps = utterance_representations(enc, backend)
+        reps = utterance_reps(backend, ctx)
         # EOU positions 1, 3, 5 hold basis vectors 1, 0, 2
         np.testing.assert_array_equal(reps[0], basis[1])
         np.testing.assert_array_equal(reps[1], basis[0])
         np.testing.assert_array_equal(reps[2], basis[2])
 
     def test_tiny_matches_manual_indexing(self, tiny_backend):
-        enc = encode_context(DialogueContext([[5, 6], [7]]), eou=63)
-        reps = utterance_representations(enc, tiny_backend)
+        ctx = DialogueContext([[5, 6], [7]])
+        enc = encode_context(ctx, eou=63)
+        reps = utterance_reps(tiny_backend, ctx)
         assert len(reps) == 2
         full = tiny_backend.forward(list(enc.tokens), want_all_hidden=True)
         np.testing.assert_array_equal(reps[1], full.hidden_all[-1])

@@ -5,31 +5,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipsearch import (
     BackendInfo,
     DialogueContext,
-    GenerationState,
     RangeError,
     Rng,
     ScriptedBackend,
     StepOutput,
     StrategyConfig,
     beam_search,
-    contrastive_step,
     encode_context,
     generate,
     greedy_step,
-    ips_step,
     nucleus_set,
     nucleus_step,
     topk_set,
     topk_step,
-    utterance_representations,
 )
+from ipsearch.core import STRATEGIES
 
-from conftest import random_scripted
-from oracles import o_enumerate_sequences
+from conftest import CountingBackend, random_scripted
+from oracles import o_argmax_low_id, o_degeneration_penalty, o_enumerate_sequences, o_top_m
 
 
 class TestGreedyStep:
@@ -176,34 +175,34 @@ def contrastive_fixture():
         (0, 3, 1): StepOutput(probs=np.full(4, 0.25), hidden_last=np.array([1.0, 0.0, 0.0])),
         (0, 3, 2): StepOutput(probs=np.full(4, 0.25), hidden_last=np.array([0.0, 0.0, 1.0])),
     }
-    backend = ScriptedBackend(info, table)
-    enc = encode_context(ctx, 3)
-    state = GenerationState(utterance_reps=utterance_representations(enc, backend))
-    return backend, enc, state
+    return ScriptedBackend(info, table), ctx
+
+
+def contrastive_first_token(k, alpha_cs):
+    backend, ctx = contrastive_fixture()
+    cfg = StrategyConfig(strategy="contrastive", m=k, alpha=alpha_cs, bootstrap_k=4, max_new_tokens=1)
+    return generate(backend, ctx, cfg).tokens[0]
 
 
 class TestContrastiveStep:
     def test_zero_penalty_weight_is_argmax(self):
-        backend, enc, state = contrastive_fixture()
-        assert contrastive_step(backend, state, enc, k=2, alpha_cs=0.0) == 1
+        assert contrastive_first_token(k=2, alpha_cs=0.0) == 1
 
     def test_penalty_flips_choice(self):
         # scoreA = 0.4*0.5 - 0.6*1 = -0.4; scoreB = 0.4*0.4 - 0.6*0 = 0.16
-        backend, enc, state = contrastive_fixture()
-        assert contrastive_step(backend, state, enc, k=2, alpha_cs=0.6) == 2
+        assert contrastive_first_token(k=2, alpha_cs=0.6) == 2
 
     def test_k_one_is_greedy_regardless_of_alpha(self):
-        backend, enc, state = contrastive_fixture()
-        assert contrastive_step(backend, state, enc, k=1, alpha_cs=0.9) == 1
+        assert contrastive_first_token(k=1, alpha_cs=0.9) == 1
 
 
 class TestIpsStep:
     def test_alpha_one_matches_greedy(self, tiny_backend):
         ctx = DialogueContext([[3, 4, 5]])
         enc = encode_context(ctx, 63)
-        state = GenerationState(utterance_reps=utterance_representations(enc, tiny_backend))
-        cfg = StrategyConfig(strategy="ips", alpha=1.0, bootstrap_n=0, m=6)
-        token, record = ips_step(tiny_backend, state, enc, cfg)
+        cfg = StrategyConfig(strategy="ips", alpha=1.0, bootstrap_n=0, m=6, max_new_tokens=1)
+        record = generate(tiny_backend, ctx, cfg).per_step[0]
+        token = record.token
         assert token == greedy_step(tiny_backend.forward(list(enc.tokens)).probs)
         assert record.token == token
         assert len(record.candidates) == 6
@@ -211,9 +210,8 @@ class TestIpsStep:
     def test_m_one_returns_top_token(self, tiny_backend):
         ctx = DialogueContext([[9, 10]])
         enc = encode_context(ctx, 63)
-        state = GenerationState(utterance_reps=utterance_representations(enc, tiny_backend))
-        cfg = StrategyConfig(strategy="ips", alpha=0.2, bootstrap_n=0, m=1)
-        token, _ = ips_step(tiny_backend, state, enc, cfg)
+        cfg = StrategyConfig(strategy="ips", alpha=0.2, bootstrap_n=0, m=1, max_new_tokens=1)
+        token = generate(tiny_backend, ctx, cfg).per_step[0].token
         assert token == greedy_step(tiny_backend.forward(list(enc.tokens)).probs)
 
 
@@ -268,3 +266,57 @@ class TestGenerate:
         assert bootstrap.p_value is None and bootstrap.candidates is None
         assert later.p_value is not None and later.i_value is not None
         assert later.score is not None and later.candidates
+
+    @pytest.mark.parametrize("strategy", ["greedy", "topk", "nucleus", "contrastive", "ips"])
+    def test_reply_of_n_tokens_makes_n_forwards(self, tiny_backend, strategy):
+        # The context pass gives the first step's distribution, and no
+        # forward runs after the last token.
+        backend = CountingBackend(tiny_backend)
+        cfg = StrategyConfig(strategy=strategy, max_new_tokens=6, seed=3)
+        res = generate(backend, DialogueContext([[1]]), cfg)
+        assert backend.forward_calls == len(res.tokens)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_utterance_reps_are_context_eou_rows(self, tiny_backend, strategy):
+        ctx = DialogueContext([[5, 6], [7, 8, 9]])
+        enc = encode_context(ctx, 63)
+        res = generate(tiny_backend, ctx, StrategyConfig(strategy=strategy, max_new_tokens=3, seed=4))
+        full = tiny_backend.forward(list(enc.tokens), want_all_hidden=True).hidden_all
+        assert len(res.utterance_reps) == len(enc.eou_positions) == 2
+        for rep, pos in zip(res.utterance_reps, enc.eou_positions):
+            assert rep.tobytes() == full[pos].tobytes()
+
+
+def replay_contrastive_run(backend, ctx, cfg, result):
+    """Re-derive every contrastive choice with one from-scratch forward per prefix."""
+    enc = encode_context(ctx, backend.info.eou_token_id)
+    ctx_hiddens = list(backend.forward(list(enc.tokens), want_all_hidden=True).hidden_all)
+    prefix = list(enc.tokens)
+    gen_hiddens: list = []
+    for step_idx, token in enumerate(result.tokens):
+        probs = backend.forward(prefix).probs
+        top = o_top_m(probs, cfg.m)
+        assert token in top, f"step {step_idx + 1}: {token} outside top-{cfg.m}"
+        scored = []
+        for tok in sorted(top):
+            hid = backend.forward(prefix + [tok]).hidden_last
+            penalty = o_degeneration_penalty(hid, ctx_hiddens + gen_hiddens)
+            scored.append((tok, (1.0 - cfg.alpha) * float(probs[tok]) - cfg.alpha * penalty))
+        assert o_argmax_low_id(scored) == token, f"step {step_idx + 1}: not score-maximal"
+        gen_hiddens.append(backend.forward(prefix + [token]).hidden_last)
+        prefix.append(token)
+
+
+@given(
+    utterances=st.lists(
+        st.lists(st.integers(0, 62), min_size=1, max_size=5), min_size=1, max_size=3
+    ),
+    alpha=st.floats(0.0, 1.0),
+    m=st.integers(1, 8),
+    max_new_tokens=st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_contrastive_choices_replay_from_scratch(tiny_backend, utterances, alpha, m, max_new_tokens):
+    ctx = DialogueContext(utterances)
+    cfg = StrategyConfig(strategy="contrastive", alpha=alpha, m=m, max_new_tokens=max_new_tokens)
+    replay_contrastive_run(tiny_backend, ctx, cfg, generate(tiny_backend, ctx, cfg))
