@@ -13,6 +13,7 @@ from .backend import (
     BackendInfo,
     RemoteBackend,
     ScriptedBackend,
+    Session,
     StepOutput,
     TinyTransformer,
     load_scripted,
@@ -87,6 +88,7 @@ __all__ = [
     "RemoteBackend",
     "Rng",
     "ScriptedBackend",
+    "Session",
     "StepOutput",
     "StepRecord",
     "StrategyConfig",

@@ -14,7 +14,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import requests
@@ -92,11 +92,54 @@ def _validate_step_output(out: StepOutput, info: BackendInfo, prefix_len: int | 
                 raise ValidationError(f"hidden_all[{i}] contains non-finite values")
 
 
+class Session:
+    """One decoding position: the prefix ``tokens``, its next-token
+    distribution ``probs``, and ``context_hidden``, the hidden states of the
+    context the session was opened on.
+
+    ``probe`` and ``extend`` never change a session, so one session can be
+    extended by several tokens (beam search branches this way). A session
+    has a single owner and is not thread-safe.
+
+    This base class computes from scratch with ``backend.forward`` and
+    ``backend.forward_candidates``, and fetches ``probs`` on first read.
+    Backends that cache override ``Backend.open`` and return a subclass.
+    """
+
+    def __init__(self, backend: "Backend", tokens: Sequence[TokenId], context_hidden, probs=None):
+        self._backend = backend
+        self.tokens = [int(t) for t in tokens]
+        self.context_hidden = context_hidden
+        self._probs = None if probs is None else np.asarray(probs, dtype=float)
+
+    @property
+    def probs(self) -> np.ndarray:
+        if self._probs is None:
+            self._probs = self._next_probs()
+        return self._probs
+
+    def _next_probs(self) -> np.ndarray:
+        return np.asarray(self._backend.forward(self.tokens).probs, dtype=float)
+
+    def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
+        """Hidden state of each candidate, as if appended to the prefix."""
+        return self._backend.forward_candidates(self.tokens, candidates)
+
+    def extend(self, token: TokenId) -> "Session":
+        """The session one token longer."""
+        self._backend._check_tokens([token], "token")
+        return Session(self._backend, self.tokens + [int(token)], self.context_hidden)
+
+
 class Backend(ABC):
     """Abstract model interface.
 
     ``forward`` is a pure function of (backend identity, prefix,
     want_all_hidden); implementations must be safe for concurrent calls.
+    The decoders work through ``open``: its default builds a ``Session`` on
+    ``forward`` and ``forward_candidates``, and a backend that can reuse
+    work across steps overrides it. Overriding sessions must match the
+    from-scratch ``forward`` within 1e-12, not bitwise.
     """
 
     @property
@@ -121,6 +164,16 @@ class Backend(ABC):
         self._check_tokens(candidates, "candidate")
         base = list(prefix)
         return [self.forward(base + [int(c)], False).hidden_last for c in candidates]
+
+    def open(self, context_tokens: Sequence[TokenId]) -> Session:
+        """Start decoding after ``context_tokens``.
+
+        The default runs one ``forward`` with every hidden state; later
+        distributions and probes are from-scratch ``forward`` and
+        ``forward_candidates`` calls.
+        """
+        out = self.forward(list(context_tokens), want_all_hidden=True)
+        return Session(self, context_tokens, out.hidden_all, out.probs)
 
     def _check_prefix(self, prefix: Sequence[TokenId]) -> list[int]:
         if len(prefix) == 0:
@@ -293,17 +346,67 @@ class TinyTransformer(Backend):
     def info(self) -> BackendInfo:
         return self._info
 
-    def _attend(self, x: np.ndarray, blk: dict) -> np.ndarray:
+    def _qkv(self, x: np.ndarray, blk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Queries, keys and values of the rows of ``x``, each (heads, rows, head_dim)."""
         t, d = x.shape
         hd = d // self._heads
-        q = (x @ blk["wq"]).reshape(t, self._heads, hd).transpose(1, 0, 2)
-        k = (x @ blk["wk"]).reshape(t, self._heads, hd).transpose(1, 0, 2)
-        v = (x @ blk["wv"]).reshape(t, self._heads, hd).transpose(1, 0, 2)
+        return tuple(
+            (x @ blk[w]).reshape(t, self._heads, hd).transpose(1, 0, 2) for w in ("wq", "wk", "wv")
+        )
+
+    def _attend(self, x: np.ndarray, blk: dict, kv: list | None = None) -> np.ndarray:
+        """Causal self-attention over the rows of ``x``; appends the layer's
+        keys and values to ``kv`` when given."""
+        t, d = x.shape
+        hd = d // self._heads
+        q, k, v = self._qkv(x, blk)
+        if kv is not None:
+            kv.append((k, v))
         scores = q @ k.transpose(0, 2, 1) / np.sqrt(hd)
         mask = np.triu(np.full((t, t), -np.inf), k=1)
         att = _softmax(scores + mask)
         out = (att @ v).transpose(1, 0, 2).reshape(t, d)
         return out @ blk["wo"]
+
+    def _attend_cached(self, x: np.ndarray, blk: dict, cache: tuple, rows: list) -> np.ndarray:
+        """Attention of alternative next positions: each row of ``x`` sees the
+        cached keys and values of the prefix and itself, not the other rows.
+        Appends the rows' own keys and values to ``rows``."""
+        m, d = x.shape
+        hd = d // self._heads
+        keys, values = cache
+        q, k, v = self._qkv(x, blk)
+        rows.append((k, v))
+        own = np.sum(q * k, axis=-1, keepdims=True)
+        scores = np.concatenate([q @ keys.transpose(0, 2, 1), own], axis=-1) / np.sqrt(hd)
+        att = _softmax(scores)
+        out = att[..., :-1] @ values + att[..., -1:] * v
+        return out.transpose(1, 0, 2).reshape(m, d) @ blk["wo"]
+
+    def _stack(self, x: np.ndarray, attend: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
+        """The blocks of ``forward`` and the closing norm, with ``attend(x, layer)``
+        as each block's attention."""
+        for layer, blk in enumerate(self._blocks):
+            x = x + attend(_layer_norm(x, blk["ln1_g"], blk["ln1_b"]), layer)
+            y = _layer_norm(x, blk["ln2_g"], blk["ln2_b"])
+            x = x + _gelu(y @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
+        return _layer_norm(x, self._lnf_g, self._lnf_b)
+
+    def _check_length(self, t: int) -> None:
+        if t > self._max_seq_len:
+            raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
+
+    def open(self, context_tokens: Sequence[TokenId]) -> Session:
+        """Encode the context once and keep every layer's keys and values."""
+        ids = self._check_prefix(context_tokens)
+        t = len(ids)
+        self._check_length(t)
+        kv: list = []
+        h = self._stack(
+            self._tok_emb[ids] + self._pos_emb[:t],
+            lambda x, layer: self._attend(x, self._blocks[layer], kv),
+        )
+        return _TinySession(self, ids, [h[i] for i in range(t)], kv, h[-1])
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
         ids = self._check_prefix(prefix)
@@ -324,6 +427,53 @@ class TinyTransformer(Backend):
             hidden_last=h[-1],
             hidden_all=[h[i] for i in range(t)] if want_all_hidden else None,
         )
+
+
+class _TinySession(Session):
+    """Session over a TinyTransformer's per-layer key/value cache.
+
+    A probe runs its candidates as one batch of rows at the next position,
+    each attending to the cache and to itself; extending by a probed token
+    reuses that row's keys, values and hidden state, so no position is
+    computed twice.
+    """
+
+    def __init__(self, model: TinyTransformer, tokens, context_hidden, kv: list, hidden_last: np.ndarray):
+        super().__init__(model, tokens, context_hidden)
+        self._kv = kv  # per layer: (keys, values), each (heads, prefix length, head_dim)
+        self._hidden_last = hidden_last
+        self._probed: dict[int, tuple[np.ndarray, list]] = {}
+
+    def _next_probs(self) -> np.ndarray:
+        # The tempered tied-embedding logits of TinyTransformer.forward.
+        return _softmax(self._hidden_last @ self._backend._tok_emb.T * 0.5)
+
+    def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
+        model = self._backend
+        if not candidates:
+            raise ArgumentError("candidates must be non-empty")
+        model._check_tokens(candidates, "candidate")
+        t = len(self.tokens)
+        model._check_length(t + 1)
+        ids = [int(c) for c in candidates]
+        rows: list = []
+        h = model._stack(
+            model._tok_emb[ids] + model._pos_emb[t],
+            lambda x, layer: model._attend_cached(x, model._blocks[layer], self._kv[layer], rows),
+        )
+        for i, c in enumerate(ids):
+            self._probed[c] = (h[i], [(k[:, i : i + 1], v[:, i : i + 1]) for k, v in rows])
+        return [h[i] for i in range(len(ids))]
+
+    def extend(self, token: TokenId) -> Session:
+        if token not in self._probed:
+            self.probe([token])
+        hidden, rows = self._probed[token]
+        kv = [
+            (np.concatenate([keys, k], axis=1), np.concatenate([values, v], axis=1))
+            for (keys, values), (k, v) in zip(self._kv, rows)
+        ]
+        return _TinySession(self._backend, self.tokens + [int(token)], self.context_hidden, kv, hidden)
 
 
 class RemoteBackend(Backend):

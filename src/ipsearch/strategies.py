@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import Backend, StepOutput
+from .backend import Backend, Session
 from .core import (
     CandidateScore,
     DialogueContext,
@@ -121,16 +121,6 @@ def nucleus_step(probs, p: float, rng: Rng) -> TokenId:
     return _sample(ids, [float(v[i]) for i in ids], rng)
 
 
-def _context_pass(backend: Backend, enc: EncodedContext) -> tuple[StepOutput, list[np.ndarray]]:
-    """The one forward over the encoded context, with every hidden state.
-
-    Returns that output, whose distribution is the first decoding step's,
-    and the utterance representations read at the EOU positions.
-    """
-    out = backend.forward(list(enc.tokens), want_all_hidden=True)
-    return out, [out.hidden_all[p] for p in enc.eou_positions]
-
-
 def beam_search(
     backend: Backend, enc: EncodedContext, width: int, max_new_tokens: int
 ) -> GenerationResult:
@@ -139,29 +129,32 @@ def beam_search(
     Beams that emit EOU are frozen; the highest-scoring finished beam wins
     (best unfinished one at the length cap when none finished), with ties
     going to the lexicographically smallest token sequence. The first
-    expansion comes from the context pass, so the backend must serve the
-    context with all hidden states.
+    expansion comes from the session's context pass, and a beam's session
+    is extended by its last token only when the beam goes on.
     """
     if not isinstance(width, int) or width < 1:
         raise RangeError("beam_width", f"must be an integer >= 1, got {width!r}")
     t0 = time.perf_counter()
     info = backend.info
     eou = info.eou_token_id
-    base = list(enc.tokens)
-    ctx_out, utterance_reps = _context_pass(backend, enc)
+    root = backend.open(enc.tokens)
+    utterance_reps = [root.context_hidden[p] for p in enc.eou_positions]
 
-    # Each beam: (tokens, total logprob, per-token model probs).
-    live: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = [((), 0.0, ())]
-    finished: list[tuple[tuple[int, ...], float, tuple[float, ...]]] = []
+    # Each beam: (tokens, total logprob, per-token model probs, the session
+    # of the prefix before its last token).
+    Beam = tuple[tuple[int, ...], float, tuple[float, ...], Session]
+    live: list[Beam] = [((), 0.0, (), root)]
+    finished: list[Beam] = []
     for _ in range(max_new_tokens):
         candidates = []
-        for tokens, logp, probs_path in live:
-            out = backend.forward(base + list(tokens)) if tokens else ctx_out
-            step_probs = np.asarray(out.probs, dtype=float)
+        for tokens, logp, probs_path, session in live:
+            if tokens:
+                session = session.extend(tokens[-1])
+            step_probs = session.probs
             for t in range(info.vocab_size):
                 pt = float(step_probs[t])
                 lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
-                candidates.append((tokens + (t,), lpt, probs_path + (pt,)))
+                candidates.append((tokens + (t,), lpt, probs_path + (pt,), session))
         candidates.sort(key=lambda c: (-c[1], c[0]))
         live = []
         for cand in candidates[:width]:
@@ -173,7 +166,7 @@ def beam_search(
             break
 
     pool = finished if finished else live
-    tokens, _, probs_path = min(pool, key=lambda c: (-c[1], c[0]))
+    tokens, _, probs_path, _ = min(pool, key=lambda c: (-c[1], c[0]))
     return GenerationResult(
         tokens=list(tokens),
         per_step=[StepRecord(token=t, prob=p) for t, p in zip(tokens, probs_path)],
@@ -228,9 +221,7 @@ def _contrastive_candidate(
 
 
 def _search_step(
-    backend: Backend,
-    prefix: list[int],
-    probs: np.ndarray,
+    session: Session,
     m: int,
     score: Callable[[TokenId, float, np.ndarray], CandidateScore],
 ) -> tuple[StepRecord, np.ndarray]:
@@ -239,8 +230,9 @@ def _search_step(
     Returns the step record, with every candidate's breakdown, and the
     chosen candidate's hidden state.
     """
+    probs = session.probs
     ids = sorted(topk_set(probs, m))
-    hiddens = backend.forward_candidates(prefix, ids)
+    hiddens = session.probe(ids)
     scored = [score(token, float(probs[token]), hidden) for token, hidden in zip(ids, hiddens)]
     # Candidates are in ascending token-id order; strict > keeps the lowest
     # id on ties.
@@ -262,13 +254,13 @@ def _search_step(
 def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> GenerationResult:
     """Run one full generation: encode, cache utterance representations, decode.
 
-    Stops at the first generated EOU or at max_new_tokens. The context pass
-    supplies both the utterance representations and the first step's
-    distribution; each later step runs one forward over the prefix. The
-    contrastive and isotropic-proximal strategies score the model's top-m
-    candidates; for the latter, the first bootstrap_n steps use the
-    configured bootstrap rule, and later steps are deterministic given the
-    prefix.
+    Stops at the first generated EOU or at max_new_tokens. Decoding runs on
+    one backend session: opening it encodes the context, which supplies the
+    utterance representations and the first step's distribution, and each
+    later step extends it by the chosen token. The contrastive and
+    isotropic-proximal strategies probe the model's top-m candidates on the
+    session; for the latter, the first bootstrap_n steps use the configured
+    bootstrap rule, and later steps are deterministic given the prefix.
     """
     info = backend.info
     validate_config(cfg, info.vocab_size)
@@ -279,32 +271,32 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
         result = beam_search(backend, enc, cfg.beam_width, cfg.max_new_tokens)
         return replace(result, elapsed=time.perf_counter() - t0)
 
-    ctx_out, utterance_reps = _context_pass(backend, enc)
+    session = backend.open(enc.tokens)
+    utterance_reps = [session.context_hidden[p] for p in enc.eou_positions]
     state = GenerationState(utterance_reps=utterance_reps)
     rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
     records: list[StepRecord] = []
     generated: list[int] = []
-    probs = np.asarray(ctx_out.probs, dtype=float)
     stop_reason = "max_len"
 
     while True:
-        prefix = list(enc.tokens) + generated
         if cfg.strategy == "contrastive":
             score = partial(
-                _contrastive_candidate, list(ctx_out.hidden_all) + state.generated_hiddens, cfg.alpha
+                _contrastive_candidate, list(session.context_hidden) + state.generated_hiddens, cfg.alpha
             )
-            record, hidden = _search_step(backend, prefix, probs, cfg.m, score)
+            record, hidden = _search_step(session, cfg.m, score)
             state.append(record.token, hidden)
         elif cfg.strategy == "ips" and state.step >= cfg.bootstrap_n:
             score = partial(_ips_candidate, state, cfg)
-            record, hidden = _search_step(backend, prefix, probs, cfg.m, score)
+            record, hidden = _search_step(session, cfg.m, score)
             state.append(record.token, hidden)
         else:
+            probs = session.probs
             token = _sample_token(rule, probs, cfg, rng)
             record = StepRecord(token=token, prob=float(probs[token]))
             if cfg.strategy == "ips":
-                state.append(token, backend.forward_candidates(prefix, [token])[0])
+                state.append(token, session.probe([token])[0])
 
         generated.append(record.token)
         records.append(record)
@@ -313,7 +305,7 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
             break
         if len(generated) == cfg.max_new_tokens:
             break
-        probs = np.asarray(backend.forward(prefix + [record.token]).probs, dtype=float)
+        session = session.extend(record.token)
 
     return GenerationResult(
         tokens=generated,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipsearch import distinct_n, read_heatmap_csv, similarity_heatmap
+from ipsearch import TinyTransformer, distinct_n, read_heatmap_csv, similarity_heatmap
 from ipsearch import cli
 from ipsearch.cli import main
 
@@ -84,6 +84,16 @@ class TestGenerate:
                     "--strategy", "greedy", "--m", 4, "--first-k", 4,
                     "--output", tmp_path / "o.jsonl"])
         assert code == 3
+
+    def test_length_limit_is_a_backend_failure(self, tmp_path, monkeypatch, capsys):
+        model = TinyTransformer(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2, max_seq_len=12)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: model)
+        records = tmp_path / "in.jsonl"
+        write_records(records, [{"id": "a", "context_tokens": [[47, 48, 49, 50, 51, 52, 53, 54]]}])
+        code = run(["generate", "--input", records, "--backend", TINY,
+                    "--strategy", "ips", "--max-new-tokens", 8, "--output", tmp_path / "o.jsonl"])
+        assert code == 3
+        assert "exceeds max_seq_len 12" in capsys.readouterr().err
 
     def test_ips_default_settings_run_end_to_end(self, tmp_path, records_file):
         out = tmp_path / "o.jsonl"

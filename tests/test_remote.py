@@ -4,7 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ipsearch import ProtocolError, RemoteBackend, TinyTransformer, VocabError
+from ipsearch import (
+    DialogueContext,
+    ProtocolError,
+    RemoteBackend,
+    StrategyConfig,
+    TinyTransformer,
+    VocabError,
+    generate,
+)
 
 from wire_server import BackendHTTPServer, RawBody
 
@@ -47,6 +55,19 @@ def test_forward_batch_round_trip(wrapped):
         want = wrapped.forward_candidates([4, 5], [1, 2, 3])
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, atol=1e-12)
+
+
+@pytest.mark.parametrize("bootstrap_n", [2, 0])
+def test_ips_reply_request_counts(wrapped, bootstrap_n):
+    # An 8-token reply: the context and 7 later distributions over /forward,
+    # one candidate probe per step over /forward_batch.
+    with BackendHTTPServer(wrapped) as server:
+        remote = RemoteBackend(server.url)
+        server.requests.clear()
+        cfg = StrategyConfig(strategy="ips", bootstrap_n=bootstrap_n, max_new_tokens=8, seed=1)
+        result = generate(remote, DialogueContext([[5, 6], [7, 8, 9]]), cfg)
+        assert len(result.tokens) == 8
+        assert server.requests == {"/forward": 8, "/forward_batch": 8}
 
 
 def test_logits_normalized_client_side(wrapped):

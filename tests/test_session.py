@@ -1,0 +1,134 @@
+"""Decoding sessions: the cached TinyTransformer session against from-scratch forwards."""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipsearch import (
+    ArgumentError,
+    DialogueContext,
+    StrategyConfig,
+    TinyTransformer,
+    VocabError,
+    generate,
+    load_scripted,
+)
+from ipsearch.core import STRATEGIES
+
+from conftest import TINY_ARGS, CountingBackend, directional_scripted, random_scripted
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TOL = dict(rtol=0.0, atol=1e-12)
+VOCAB = 40
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layers=st.integers(1, 3),
+    heads=st.sampled_from([1, 2, 4]),
+    dim=st.sampled_from([8, 16]),
+    # Up to 140 positions: attention rows cross numpy's 8- and 128-element
+    # pairwise-summation blocks.
+    prefix=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=140),
+    candidates=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=8, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_session_matches_from_scratch_forward(seed, layers, heads, dim, prefix, candidates, data):
+    model = TinyTransformer(seed=seed, vocab_size=VOCAB, hidden_dim=dim, layers=layers, heads=heads)
+    unprobed = data.draw(st.sampled_from(sorted(set(range(VOCAB)) - set(candidates))))
+    ref = model.forward(prefix, want_all_hidden=True)
+    session = model.open(prefix)
+    np.testing.assert_allclose(session.probs, ref.probs, **TOL)
+    for got, want in zip(session.context_hidden, ref.hidden_all, strict=True):
+        np.testing.assert_allclose(got, want, **TOL)
+    for got, c in zip(session.probe(candidates), candidates, strict=True):
+        np.testing.assert_allclose(got, model.forward(prefix + [c]).hidden_last, **TOL)
+    for token in (candidates[0], unprobed):
+        longer = session.extend(token)
+        np.testing.assert_allclose(longer.probs, model.forward(prefix + [token]).probs, **TOL)
+        for got, c in zip(longer.probe(candidates), candidates, strict=True):
+            np.testing.assert_allclose(got, model.forward(prefix + [token, c]).hidden_last, **TOL)
+
+
+def test_probe_rejects_bad_candidates(tiny_backend):
+    session = tiny_backend.open([1, 63])
+    with pytest.raises(ArgumentError):
+        session.probe([])
+    with pytest.raises(VocabError):
+        session.probe([3, 64])
+    with pytest.raises(VocabError):
+        session.extend(64)
+
+
+def test_length_errors_match_forward():
+    model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
+    with pytest.raises(ArgumentError) as scratch:
+        model.forward(list(range(13)))
+    for call in (
+        lambda: model.open(list(range(13))),
+        lambda: model.open(list(range(12))).probe([1]),
+        lambda: model.open(list(range(12))).extend(1),
+    ):
+        with pytest.raises(ArgumentError) as cached:
+            call()
+        assert str(cached.value) == str(scratch.value) == "prefix length 13 exceeds max_seq_len 12"
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_stops_at_the_length_limit(strategy):
+    model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
+    ctx = DialogueContext([[47, 48, 49, 50, 51, 52, 53, 54]])  # 9 tokens with the EOU
+    with pytest.raises(ArgumentError, match="exceeds max_seq_len 12"):
+        generate(model, ctx, StrategyConfig(strategy=strategy, max_new_tokens=8, seed=1))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_cached_session_decides_like_from_scratch(tiny_backend, contexts24, strategy):
+    # CountingBackend keeps the default Backend.open, which works from forward
+    # and forward_candidates alone.
+    for i, ctx in enumerate(contexts24):
+        cfg = StrategyConfig(strategy=strategy, max_new_tokens=12, seed=i)
+        cached = generate(tiny_backend, ctx, cfg)
+        scratch = generate(CountingBackend(tiny_backend), ctx, cfg)
+        assert cached.tokens == scratch.tokens
+        assert cached.stop_reason == scratch.stop_reason
+        for a, b in zip(cached.per_step, scratch.per_step, strict=True):
+            for field in ("prob", "score", "p_value", "i_value"):
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None) == (y is None)
+                if x is not None:
+                    assert abs(x - y) <= 1e-12, (field, x, y)
+
+
+def _demo():
+    return load_scripted(FIXTURES / "scripted_demo.json"), DialogueContext([[0]])
+
+
+# Replies with the tables as they are; beam needs entries that the demo
+# table lacks, so it is left out there.
+SCRIPTED_REPLIES = [
+    (_demo, dict(m=4, bootstrap_n=1, bootstrap_k=5, max_new_tokens=8), {
+        "greedy": [1, 3, 4], "topk": [1, 4], "nucleus": [1, 2, 4], "contrastive": [1, 4], "ips": [1, 2, 4],
+    }),
+    (lambda: random_scripted(seed=3), dict(m=3, bootstrap_n=1, bootstrap_k=4, beam_width=2, max_new_tokens=2), {
+        "greedy": [2], "beam": [2], "topk": [3, 0], "nucleus": [3, 0], "contrastive": [2], "ips": [3, 3],
+    }),
+    (directional_scripted, dict(m=2, bootstrap_n=1, bootstrap_k=5, bootstrap_strategy="greedy",
+                                beam_width=2, max_new_tokens=3), {
+        "greedy": [1, 3, 4], "beam": [1, 3, 4], "topk": [1, 4], "nucleus": [1, 2, 4],
+        "contrastive": [1, 3, 4], "ips": [1, 2, 4],
+    }),
+]
+
+
+@pytest.mark.parametrize("make, settings_, replies", SCRIPTED_REPLIES)
+def test_scripted_fixtures_decode_with_their_tables(make, settings_, replies):
+    backend, ctx = make()
+    for strategy, tokens in replies.items():
+        cfg = StrategyConfig(strategy=strategy, seed=1, **settings_)
+        assert generate(backend, ctx, cfg).tokens == tokens, strategy

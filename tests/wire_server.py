@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -19,10 +20,13 @@ class BackendHTTPServer:
 
     ``transform(path, doc)`` may rewrite any response document (or return a
     RawBody) to simulate misbehaving servers; ``delay`` sleeps before
-    answering, for timeout tests.
+    answering, for timeout tests. ``requests`` counts the requests served,
+    by path.
     """
 
     def __init__(self, backend, transform=None, delay: float = 0.0):
+        self.requests: Counter = Counter()
+        self._lock = threading.Lock()
         self._backend = backend
         self._transform = transform or (lambda path, doc: doc)
         self._delay = delay
@@ -41,6 +45,10 @@ class BackendHTTPServer:
     def __exit__(self, *exc):
         self._httpd.shutdown()
         self._httpd.server_close()
+
+    def _count(self, path: str) -> None:
+        with self._lock:
+            self.requests[path] += 1
 
     def _handler_class(self):
         outer = self
@@ -61,6 +69,7 @@ class BackendHTTPServer:
                 self.wfile.write(body)
 
             def do_GET(self):
+                outer._count(self.path)
                 if self.path != "/info":
                     self.send_error(404)
                     return
@@ -74,6 +83,7 @@ class BackendHTTPServer:
                 )
 
             def do_POST(self):
+                outer._count(self.path)
                 length = int(self.headers.get("Content-Length", "0"))
                 req = json.loads(self.rfile.read(length))
                 if self.path == "/forward":
