@@ -94,22 +94,24 @@ def _validate_step_output(out: StepOutput, info: BackendInfo, prefix_len: int | 
 
 class Session:
     """One decoding position: the prefix ``tokens``, its next-token
-    distribution ``probs``, and ``context_hidden``, the hidden states of the
-    context the session was opened on.
+    distribution ``probs``, and ``hidden_all``, the hidden state of every
+    token in ``tokens``.
 
     ``probe`` and ``extend`` never change a session, so one session can be
     extended by several tokens (beam search branches this way). A session
     has a single owner and is not thread-safe.
 
     This base class computes from scratch with ``backend.forward`` and
-    ``backend.forward_candidates``, and fetches ``probs`` on first read.
+    ``backend.forward_candidates``. An opened session holds the context
+    pass; a longer one fetches ``probs`` with ``forward`` on first read,
+    and ``hidden_all`` with one ``forward(tokens, want_all_hidden=True)``.
     Backends that cache override ``Backend.open`` and return a subclass.
     """
 
-    def __init__(self, backend: "Backend", tokens: Sequence[TokenId], context_hidden, probs=None):
+    def __init__(self, backend: "Backend", tokens: Sequence[TokenId], hidden_all=None, probs=None):
         self._backend = backend
         self.tokens = [int(t) for t in tokens]
-        self.context_hidden = context_hidden
+        self._hidden_all = hidden_all
         self._probs = None if probs is None else np.asarray(probs, dtype=float)
 
     @property
@@ -117,6 +119,12 @@ class Session:
         if self._probs is None:
             self._probs = self._next_probs()
         return self._probs
+
+    @property
+    def hidden_all(self) -> list[np.ndarray]:
+        if self._hidden_all is None:
+            self._hidden_all = self._backend.forward(self.tokens, want_all_hidden=True).hidden_all
+        return self._hidden_all
 
     def _next_probs(self) -> np.ndarray:
         return np.asarray(self._backend.forward(self.tokens).probs, dtype=float)
@@ -128,7 +136,7 @@ class Session:
     def extend(self, token: TokenId) -> "Session":
         """The session one token longer."""
         self._backend._check_tokens([token], "token")
-        return Session(self._backend, self.tokens + [int(token)], self.context_hidden)
+        return Session(self._backend, self.tokens + [int(token)])
 
 
 class Backend(ABC):
@@ -396,36 +404,35 @@ class TinyTransformer(Backend):
         if t > self._max_seq_len:
             raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
 
-    def open(self, context_tokens: Sequence[TokenId]) -> Session:
-        """Encode the context once and keep every layer's keys and values."""
-        ids = self._check_prefix(context_tokens)
+    def _encode(self, prefix: Sequence[TokenId], kv: list | None = None) -> tuple[list[int], np.ndarray]:
+        """The ids of ``prefix`` and the final hidden state of each position;
+        appends every layer's keys and values to ``kv`` when given."""
+        ids = self._check_prefix(prefix)
         t = len(ids)
         self._check_length(t)
-        kv: list = []
         h = self._stack(
             self._tok_emb[ids] + self._pos_emb[:t],
             lambda x, layer: self._attend(x, self._blocks[layer], kv),
         )
-        return _TinySession(self, ids, [h[i] for i in range(t)], kv, h[-1])
+        return ids, h
 
-    def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
-        ids = self._check_prefix(prefix)
-        t = len(ids)
-        if t > self._max_seq_len:
-            raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
-        x = self._tok_emb[ids] + self._pos_emb[:t]
-        for blk in self._blocks:
-            x = x + self._attend(_layer_norm(x, blk["ln1_g"], blk["ln1_b"]), blk)
-            y = _layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            x = x + _gelu(y @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
-        h = _layer_norm(x, self._lnf_g, self._lnf_b)
+    def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
         # distributions instead of near-one-hot ones.
-        logits = h[-1] @ self._tok_emb.T * 0.5
+        return _softmax(hidden @ self._tok_emb.T * 0.5)
+
+    def open(self, context_tokens: Sequence[TokenId]) -> Session:
+        """Encode the context once and keep every layer's keys and values."""
+        kv: list = []
+        ids, h = self._encode(context_tokens, kv)
+        return _TinySession(self, ids, list(h), kv)
+
+    def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
+        _, h = self._encode(prefix)
         return StepOutput(
-            probs=_softmax(logits),
+            probs=self._probs(h[-1]),
             hidden_last=h[-1],
-            hidden_all=[h[i] for i in range(t)] if want_all_hidden else None,
+            hidden_all=list(h) if want_all_hidden else None,
         )
 
 
@@ -438,15 +445,13 @@ class _TinySession(Session):
     computed twice.
     """
 
-    def __init__(self, model: TinyTransformer, tokens, context_hidden, kv: list, hidden_last: np.ndarray):
-        super().__init__(model, tokens, context_hidden)
+    def __init__(self, model: TinyTransformer, tokens, hidden_all: list, kv: list):
+        super().__init__(model, tokens, hidden_all)
         self._kv = kv  # per layer: (keys, values), each (heads, prefix length, head_dim)
-        self._hidden_last = hidden_last
         self._probed: dict[int, tuple[np.ndarray, list]] = {}
 
     def _next_probs(self) -> np.ndarray:
-        # The tempered tied-embedding logits of TinyTransformer.forward.
-        return _softmax(self._hidden_last @ self._backend._tok_emb.T * 0.5)
+        return self._backend._probs(self.hidden_all[-1])
 
     def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
         model = self._backend
@@ -473,7 +478,7 @@ class _TinySession(Session):
             (np.concatenate([keys, k], axis=1), np.concatenate([values, v], axis=1))
             for (keys, values), (k, v) in zip(self._kv, rows)
         ]
-        return _TinySession(self._backend, self.tokens + [int(token)], self.context_hidden, kv, hidden)
+        return _TinySession(self._backend, self.tokens + [int(token)], self.hidden_all + [hidden], kv)
 
 
 class RemoteBackend(Backend):

@@ -8,6 +8,7 @@ byte-identical apart from the elapsed_s field.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ from .core import (
     TokenId,
     validate_config,
 )
-from .encoding import Tokenizer, encode_context
+from .encoding import Tokenizer
 from .errors import ArgumentError, DecodingError, RangeError
 from .metrics import diagnostics, distinct_n, similarity_heatmap, write_heatmap_csv
 from .strategies import generate
@@ -150,31 +151,14 @@ def _merge_config(args: argparse.Namespace) -> StrategyConfig:
             raise InputError(f"cannot load config {args.config!r}: {exc}") from exc
     else:
         cfg = StrategyConfig()
-    overrides = {
-        "strategy": getattr(args, "strategy", None),
-        "alpha": getattr(args, "alpha", None),
-        "beta": getattr(args, "beta", None),
-        "penalty_form": getattr(args, "penalty_form", None),
-        "m": getattr(args, "m", None),
-        "bootstrap_n": getattr(args, "first_n", None),
-        "bootstrap_strategy": getattr(args, "first_strategy", None),
-        "bootstrap_k": getattr(args, "first_k", None),
-        "bootstrap_p": getattr(args, "first_p", None),
-        "beam_width": getattr(args, "beam_width", None),
-        "max_new_tokens": getattr(args, "max_new_tokens", None),
-        "seed": getattr(args, "seed", None),
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(StrategyConfig)}
     return cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
-def _response_hiddens(backend, enc, tokens):
-    """Hidden states of the generated content tokens (EOU excluded)."""
-    eou = backend.info.eou_token_id
-    full = list(enc.tokens) + list(tokens)
-    out = backend.forward(full, want_all_hidden=True)
-    return [
-        out.hidden_all[len(enc.tokens) + i] for i, t in enumerate(tokens) if t != eou
-    ]
+def _reply_session(result):
+    """The decoder's session over context and reply: one ``hidden_all`` row
+    per token, without a second encoder pass where the backend caches."""
+    return result.session.extend(result.tokens[-1])
 
 
 def _trace_dict(record) -> dict:
@@ -225,11 +209,12 @@ def _compare_row(backend, records, cfg) -> dict:
     intra, context, elapsed = [], [], []
     for _, ctx in records:
         result = generate(backend, ctx, cfg)
-        enc = encode_context(ctx, eou)
         content = [t for t in result.tokens if t != eou]
         responses.append(content)
         elapsed.append(result.elapsed)
-        hiddens = _response_hiddens(backend, enc, result.tokens)
+        n = len(result.tokens)
+        reply = zip(result.tokens, _reply_session(result).hidden_all[-n:])
+        hiddens = [h for t, h in reply if t != eou]
         if hiddens:
             diag = diagnostics(result, hiddens, result.utterance_reps)
             intra.append(diag.mean_intra_response_cosine)
@@ -310,14 +295,12 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     ctx = match[0]
     eou = backend.info.eou_token_id
     try:
-        result = generate(backend, ctx, cfg)
-        enc = encode_context(ctx, eou)
-        full = list(enc.tokens) + list(result.tokens)
-        out = backend.forward(full, want_all_hidden=True)
+        session = _reply_session(generate(backend, ctx, cfg))
+        full, hidden_all = session.tokens, session.hidden_all
     except (DecodingError, TimeoutError) as exc:
         raise BackendFailure(str(exc)) from exc
     keep = [i for i, t in enumerate(full) if t != eou]
-    hiddens = [out.hidden_all[i] for i in keep]
+    hiddens = [hidden_all[i] for i in keep]
     if tokenizer.mode == "whitespace":
         labels = [tokenizer.decode([full[i]]) for i in keep]
     else:
@@ -349,10 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta", type=float)
     common.add_argument("--penalty-form", dest="penalty_form", choices=PENALTY_FORMS)
     common.add_argument("--m", type=int)
-    common.add_argument("--first-n", dest="first_n", type=int)
-    common.add_argument("--first-strategy", dest="first_strategy", choices=BOOTSTRAP_STRATEGIES)
-    common.add_argument("--first-k", dest="first_k", type=int)
-    common.add_argument("--first-p", dest="first_p", type=float)
+    common.add_argument("--first-n", dest="bootstrap_n", type=int)
+    common.add_argument("--first-strategy", dest="bootstrap_strategy", choices=BOOTSTRAP_STRATEGIES)
+    common.add_argument("--first-k", dest="bootstrap_k", type=int)
+    common.add_argument("--first-p", dest="bootstrap_p", type=float)
     common.add_argument("--beam-width", dest="beam_width", type=int)
     common.add_argument("--max-new-tokens", dest="max_new_tokens", type=int)
 

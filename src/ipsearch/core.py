@@ -7,11 +7,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ArgumentError, DimensionError, RangeError
+
+if TYPE_CHECKING:
+    from .backend import Session
 
 TokenId = int
 
@@ -198,7 +201,11 @@ class GenerationResult:
     """Outcome of one generation run.
 
     ``utterance_reps`` holds the hidden state at each EOU separator of the
-    context, read from the context pass the decoder ran.
+    context, read from the context pass the decoder ran. ``session`` is the
+    decoding session that chose the last token: its prefix is the context
+    and every reply token but the last, so
+    ``session.extend(tokens[-1]).hidden_all`` has a hidden state for every
+    token of context and reply.
     """
 
     tokens: list[TokenId]
@@ -207,3 +214,4 @@ class GenerationResult:
     elapsed: float
     text: Optional[str] = None
     utterance_reps: Optional[list[np.ndarray]] = None
+    session: Optional[Session] = None

@@ -71,8 +71,8 @@ def topk_set(probs, k: int) -> list[TokenId]:
     v = _as_probs(probs)
     if not isinstance(k, int) or not 1 <= k <= v.shape[0]:
         raise RangeError("k", f"must be an integer in [1, {v.shape[0]}], got {k!r}")
-    order = sorted(range(v.shape[0]), key=lambda i: (-v[i], i))
-    return order[:k]
+    # The stable sort keeps tied ids in ascending order.
+    return np.argsort(-v, kind="stable")[:k].tolist()
 
 
 def nucleus_set(probs, p: float) -> list[TokenId]:
@@ -85,15 +85,11 @@ def nucleus_set(probs, p: float) -> list[TokenId]:
     v = _as_probs(probs)
     if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
         raise RangeError("p", f"must lie in (0, 1], got {p!r}")
-    order = sorted(range(v.shape[0]), key=lambda i: (-v[i], i))
-    chosen: list[int] = []
-    cum = 0.0
-    for i in order:
-        chosen.append(i)
-        cum += float(v[i])
-        if cum >= p:
-            break
-    return chosen
+    order = np.argsort(-v, kind="stable")
+    # cumsum adds in sequence, so each partial sum is the running float sum.
+    reached = np.cumsum(v[order]) >= p
+    end = int(np.argmax(reached)) + 1 if reached.any() else len(order)
+    return order[:end].tolist()
 
 
 def _sample(ids: Sequence[int], weights: Sequence[float], rng: Rng) -> TokenId:
@@ -138,7 +134,7 @@ def beam_search(
     info = backend.info
     eou = info.eou_token_id
     root = backend.open(enc.tokens)
-    utterance_reps = [root.context_hidden[p] for p in enc.eou_positions]
+    utterance_reps = [root.hidden_all[p] for p in enc.eou_positions]
 
     # Each beam: (tokens, total logprob, per-token model probs, the session
     # of the prefix before its last token).
@@ -166,13 +162,14 @@ def beam_search(
             break
 
     pool = finished if finished else live
-    tokens, _, probs_path, _ = min(pool, key=lambda c: (-c[1], c[0]))
+    tokens, _, probs_path, session = min(pool, key=lambda c: (-c[1], c[0]))
     return GenerationResult(
         tokens=list(tokens),
         per_step=[StepRecord(token=t, prob=p) for t, p in zip(tokens, probs_path)],
         stop_reason="eou" if tokens and tokens[-1] == eou else "max_len",
         elapsed=time.perf_counter() - t0,
         utterance_reps=utterance_reps,
+        session=session,
     )
 
 
@@ -272,7 +269,8 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
         return replace(result, elapsed=time.perf_counter() - t0)
 
     session = backend.open(enc.tokens)
-    utterance_reps = [session.context_hidden[p] for p in enc.eou_positions]
+    context_hidden = session.hidden_all
+    utterance_reps = [context_hidden[p] for p in enc.eou_positions]
     state = GenerationState(utterance_reps=utterance_reps)
     rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
@@ -283,7 +281,7 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
     while True:
         if cfg.strategy == "contrastive":
             score = partial(
-                _contrastive_candidate, list(session.context_hidden) + state.generated_hiddens, cfg.alpha
+                _contrastive_candidate, list(context_hidden) + state.generated_hiddens, cfg.alpha
             )
             record, hidden = _search_step(session, cfg.m, score)
             state.append(record.token, hidden)
@@ -313,4 +311,5 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
         stop_reason=stop_reason,
         elapsed=time.perf_counter() - t0,
         utterance_reps=utterance_reps,
+        session=session,
     )

@@ -11,6 +11,7 @@ import pytest
 from ipsearch import TinyTransformer, distinct_n, read_heatmap_csv, similarity_heatmap
 from ipsearch import cli
 from ipsearch.cli import main
+from ipsearch.core import STRATEGIES
 
 from conftest import CountingBackend
 
@@ -253,3 +254,46 @@ class TestHeatmap:
                     "--record-id", "nope", "--output", tmp_path / "hm.csv"])
         assert code == 4
         assert "nope" in capsys.readouterr().err
+
+
+def test_caching_backend_makes_no_forward(tmp_path, records_file, monkeypatch):
+    # The decoder's sessions hold every hidden state that the diagnostics and
+    # the heatmap read, so neither re-encodes a reply on a caching backend.
+    model = TinyTransformer(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2)
+    forward, calls = model.forward, []
+
+    def counted_forward(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted_forward)
+    monkeypatch.setattr(cli, "build_backend", lambda spec: model)
+    base = ["--input", records_file, "--backend", TINY, "--max-new-tokens", 4]
+    assert run(["compare", *base, "--strategies", ",".join(STRATEGIES), "--seeds", "1,2",
+                "--output", tmp_path / "cmp.json"]) == 0
+    for strategy in STRATEGIES:
+        assert run(["heatmap", *base, "--record-id", "a", "--strategy", strategy,
+                    "--output", tmp_path / f"{strategy}.csv"]) == 0
+    assert calls == []
+
+
+def test_reply_ending_at_the_length_limit(tmp_path, monkeypatch, capsys):
+    # generate never extends a session past the reply's last token, so its
+    # reply fits; compare and heatmap also need that token's hidden state,
+    # one position beyond max_seq_len.
+    model = TinyTransformer(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2, max_seq_len=12)
+    monkeypatch.setattr(cli, "build_backend", lambda spec: model)
+    records = tmp_path / "in.jsonl"
+    write_records(records, [{"id": "a", "context_tokens": [[47, 48, 49, 50, 51, 52, 53, 54]]}])
+    base = ["--input", records, "--backend", TINY, "--max-new-tokens", 4]
+    out = tmp_path / "gen.jsonl"
+    assert run(["generate", *base, "--strategy", "greedy", "--output", out]) == 0
+    doc = json.loads(out.read_text())
+    assert len(doc["tokens"]) == 4 and doc["stop_reason"] == "max_len"  # 9 + 4 = 13 tokens
+    capsys.readouterr()
+    for command in (
+        ["compare", "--strategies", "greedy", "--seeds", "1"],
+        ["heatmap", "--record-id", "a", "--strategy", "greedy"],
+    ):
+        assert run([*command, *base, "--output", tmp_path / "o"]) == 3
+        assert "prefix length 13 exceeds max_seq_len 12" in capsys.readouterr().err

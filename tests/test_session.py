@@ -14,6 +14,7 @@ from ipsearch import (
     StrategyConfig,
     TinyTransformer,
     VocabError,
+    encode_context,
     generate,
     load_scripted,
 )
@@ -44,7 +45,7 @@ def test_session_matches_from_scratch_forward(seed, layers, heads, dim, prefix, 
     ref = model.forward(prefix, want_all_hidden=True)
     session = model.open(prefix)
     np.testing.assert_allclose(session.probs, ref.probs, **TOL)
-    for got, want in zip(session.context_hidden, ref.hidden_all, strict=True):
+    for got, want in zip(session.hidden_all, ref.hidden_all, strict=True):
         np.testing.assert_allclose(got, want, **TOL)
     for got, c in zip(session.probe(candidates), candidates, strict=True):
         np.testing.assert_allclose(got, model.forward(prefix + [c]).hidden_last, **TOL)
@@ -103,6 +104,23 @@ def test_cached_session_decides_like_from_scratch(tiny_backend, contexts24, stra
                 assert (x is None) == (y is None)
                 if x is not None:
                     assert abs(x - y) <= 1e-12, (field, x, y)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_result_session_holds_every_hidden_state(tiny_backend, contexts24, strategy):
+    # Extending the result's session by the reply's last token gives the rows
+    # of one full forward over context and reply: within 1e-12 from the
+    # TinyTransformer cache, and bitwise from the default session.
+    for i, ctx in enumerate(contexts24):
+        cfg = StrategyConfig(strategy=strategy, max_new_tokens=12, seed=i)
+        for backend, atol in ((tiny_backend, 1e-12), (CountingBackend(tiny_backend), 0.0)):
+            result = generate(backend, ctx, cfg)
+            final = result.session.extend(result.tokens[-1])
+            tokens = list(encode_context(ctx, 63).tokens) + result.tokens
+            assert final.tokens == tokens
+            ref = tiny_backend.forward(tokens, want_all_hidden=True).hidden_all
+            for got, want in zip(final.hidden_all, ref, strict=True):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
 
 
 def _demo():

@@ -1,6 +1,7 @@
 """Step rules, beam search, contrastive and isotropic-proximal steps, generate()."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from ipsearch import (
 from ipsearch.core import STRATEGIES
 
 from conftest import CountingBackend, random_scripted
-from oracles import o_argmax_low_id, o_degeneration_penalty, o_enumerate_sequences, o_top_m
+from oracles import o_argmax_low_id, o_degeneration_penalty, o_enumerate_sequences, o_nucleus, o_top_m
 
 
 class TestGreedyStep:
@@ -85,6 +86,26 @@ class TestNucleusStep:
             nucleus_step([1.0, 0.0], 0.0, Rng(0))
         with pytest.raises(RangeError):
             nucleus_step([1.0, 0.0], 1.5, Rng(0))
+
+
+@given(
+    weights=st.lists(st.integers(0, 3), min_size=1, max_size=40).filter(any),
+    k=st.integers(1, 40),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_selection_sets_match_oracles_under_ties(weights, k, data):
+    # Few distinct integer weights, zeros included, make ties common; p is
+    # drawn either freely or equal to a cumulative mass the nucleus reaches.
+    probs = np.array(weights, dtype=float) / sum(weights)
+    k = min(k, len(weights))
+    assert topk_set(probs, k) == o_top_m(probs, k)
+    reached = itertools.accumulate(float(probs[i]) for i in o_top_m(probs, len(weights)))
+    p = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([c for c in reached if 0.0 < c <= 1.0]),
+    ))
+    assert nucleus_set(probs, p) == o_nucleus(probs, p)
 
 
 def path_logprob(backend, enc, tokens):
