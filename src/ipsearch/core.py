@@ -25,6 +25,15 @@ BOOTSTRAP_STRATEGIES = ("topk", "nucleus", "greedy")
 _MAX_SEED = 2**64 - 1
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but True is not a width or a seed.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DialogueContext:
     """An ordered, non-empty list of utterances, each a non-empty token-id list."""
@@ -102,34 +111,34 @@ def validate_config(cfg: StrategyConfig, vocab_size: int) -> StrategyConfig:
     """
     if cfg.strategy not in STRATEGIES:
         raise RangeError("strategy", f"must be one of {STRATEGIES}, got {cfg.strategy!r}")
-    if not isinstance(cfg.alpha, (int, float)) or not 0.0 <= cfg.alpha <= 1.0:
+    if not _is_real(cfg.alpha) or not 0.0 <= cfg.alpha <= 1.0:
         raise RangeError("alpha", f"must lie in [0, 1], got {cfg.alpha!r}")
-    if not isinstance(cfg.beta, (int, float)) or not 0.0 <= cfg.beta <= 1.0:
+    if not _is_real(cfg.beta) or not 0.0 <= cfg.beta <= 1.0:
         raise RangeError("beta", f"must lie in [0, 1], got {cfg.beta!r}")
     if cfg.penalty_form not in PENALTY_FORMS:
         raise RangeError("penalty_form", f"must be one of {PENALTY_FORMS}, got {cfg.penalty_form!r}")
-    if not isinstance(cfg.m, int) or cfg.m < 1:
+    if not _is_int(cfg.m) or cfg.m < 1:
         raise RangeError("m", f"must be an integer >= 1, got {cfg.m!r}")
     if cfg.m > vocab_size:
         raise RangeError("m", f"must be <= vocab_size ({cfg.m} > {vocab_size})")
-    if not isinstance(cfg.bootstrap_n, int) or cfg.bootstrap_n < 0:
+    if not _is_int(cfg.bootstrap_n) or cfg.bootstrap_n < 0:
         raise RangeError("bootstrap_n", f"must be an integer >= 0, got {cfg.bootstrap_n!r}")
     if cfg.bootstrap_strategy not in BOOTSTRAP_STRATEGIES:
         raise RangeError(
             "bootstrap_strategy",
             f"must be one of {BOOTSTRAP_STRATEGIES}, got {cfg.bootstrap_strategy!r}",
         )
-    if not isinstance(cfg.bootstrap_k, int) or cfg.bootstrap_k < 1:
+    if not _is_int(cfg.bootstrap_k) or cfg.bootstrap_k < 1:
         raise RangeError("bootstrap_k", f"must be an integer >= 1, got {cfg.bootstrap_k!r}")
     if cfg.bootstrap_k > vocab_size:
         raise RangeError("bootstrap_k", f"must be <= vocab_size ({cfg.bootstrap_k} > {vocab_size})")
-    if not isinstance(cfg.bootstrap_p, (int, float)) or not 0.0 < cfg.bootstrap_p <= 1.0:
+    if not _is_real(cfg.bootstrap_p) or not 0.0 < cfg.bootstrap_p <= 1.0:
         raise RangeError("bootstrap_p", f"must lie in (0, 1], got {cfg.bootstrap_p!r}")
-    if not isinstance(cfg.beam_width, int) or cfg.beam_width < 1:
+    if not _is_int(cfg.beam_width) or cfg.beam_width < 1:
         raise RangeError("beam_width", f"must be an integer >= 1, got {cfg.beam_width!r}")
-    if not isinstance(cfg.max_new_tokens, int) or cfg.max_new_tokens < 1:
+    if not _is_int(cfg.max_new_tokens) or cfg.max_new_tokens < 1:
         raise RangeError("max_new_tokens", f"must be an integer >= 1, got {cfg.max_new_tokens!r}")
-    if not isinstance(cfg.seed, int) or not 0 <= cfg.seed <= _MAX_SEED:
+    if not _is_int(cfg.seed) or not 0 <= cfg.seed <= _MAX_SEED:
         raise RangeError("seed", f"must be a 64-bit unsigned integer, got {cfg.seed!r}")
     if not isinstance(cfg.strict_isotropy, bool):
         raise RangeError("strict_isotropy", f"must be a boolean, got {cfg.strict_isotropy!r}")

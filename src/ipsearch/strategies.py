@@ -122,11 +122,19 @@ def beam_search(
 ) -> GenerationResult:
     """Length-terminated beam over summed log probabilities.
 
-    Beams that emit EOU are frozen; the highest-scoring finished beam wins
-    (best unfinished one at the length cap when none finished), with ties
-    going to the lexicographically smallest token sequence. The first
-    expansion comes from the session's context pass, and a beam's session
-    is extended by its last token only when the beam goes on.
+    Each step keeps the ``width`` best extensions of all live beams, ranked
+    by total log probability with ties going to the lexicographically
+    smallest token sequence. Beams that emit EOU are frozen; the
+    highest-scoring finished beam wins (best unfinished one at the length
+    cap when none finished), under the same tie rule. The first expansion
+    comes from the session's context pass, and a beam's session is extended
+    by its last token only when the beam goes on.
+
+    A beam's extensions are scored in descending-probability order and the
+    walk stops a few ulps below its ``width``-th score, so only a handful
+    of each beam's V tokens are scored. Every extension that could enter
+    the step's top ``width``, ties included, is still scored, so every
+    decision is the one an exhaustive width x V ranking makes.
     """
     if not isinstance(width, int) or width < 1:
         raise RangeError("beam_width", f"must be an integer >= 1, got {width!r}")
@@ -147,10 +155,28 @@ def beam_search(
             if tokens:
                 session = session.extend(tokens[-1])
             step_probs = session.probs
-            for t in range(info.vocab_size):
+            # Walk descending p (tied ids ascending). Once the beam holds
+            # `width` candidates, none scoring below the least of them (the
+            # cut) can make the step's top `width`; one tying the cut still
+            # can, on the token tie-break. Scores only fall along the walk up
+            # to math.log's error: under 1 ulp per call, so a later (smaller)
+            # p can outscore an earlier one by under 2 ulp, plus under 1 ulp
+            # from rounding the sum (p <= 1 keeps every score <= 0, so these
+            # ulps are at most ulp(cut) for any score near the cut). The
+            # walk therefore stops 4 ulp(cut) below the cut. A cut of -inf
+            # keeps every -inf candidate, as the exhaustive ranking does.
+            floor = -math.inf
+            kept = 0
+            for t in np.argsort(-step_probs, kind="stable").tolist():
                 pt = float(step_probs[t])
                 lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
+                if lpt < floor:
+                    break
                 candidates.append((tokens + (t,), lpt, probs_path + (pt,), session))
+                kept += 1
+                if kept == width:
+                    cut = min(c[1] for c in candidates[-width:])
+                    floor = cut - 4 * math.ulp(cut)
         candidates.sort(key=lambda c: (-c[1], c[0]))
         live = []
         for cand in candidates[:width]:

@@ -101,3 +101,39 @@ def o_enumerate_sequences(forward_probs, base, vocab_size, eou, max_len):
 
     walk([], 0.0)
     return results
+
+
+def o_beam_search(backend, enc, width, max_new_tokens):
+    """Beam search that scores every token of every live beam at each step.
+
+    The exhaustive width x V expansion, ranked by (-total logprob, tokens).
+    Returns (tokens, per-token probs, stop reason, winner's session).
+    """
+    eou = backend.info.eou_token_id
+    root = backend.open(enc.tokens)
+    live = [((), 0.0, (), root)]
+    finished = []
+    for _ in range(max_new_tokens):
+        candidates = []
+        for tokens, logp, probs_path, session in live:
+            if tokens:
+                session = session.extend(tokens[-1])
+            step_probs = session.probs
+            for t in range(backend.info.vocab_size):
+                pt = float(step_probs[t])
+                lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
+                candidates.append((tokens + (t,), lpt, probs_path + (pt,), session))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        live = []
+        for cand in candidates[:width]:
+            if cand[0][-1] == eou:
+                finished.append(cand)
+            else:
+                live.append(cand)
+        if not live:
+            break
+
+    pool = finished if finished else live
+    tokens, _, probs_path, session = min(pool, key=lambda c: (-c[1], c[0]))
+    stop_reason = "eou" if tokens and tokens[-1] == eou else "max_len"
+    return list(tokens), list(probs_path), stop_reason, session

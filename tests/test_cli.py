@@ -135,6 +135,14 @@ class TestGenerate:
         assert all(d["strategy"] == "ips" for d in docs)
         assert all(len(d["tokens"]) <= 3 for d in docs)  # config value kept
 
+    def test_boolean_in_config_file_is_usage_error(self, tmp_path, records_file, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": "beam", "beam_width": True}))
+        code = run(["generate", "--input", records_file, "--backend", TINY,
+                    "--config", cfg_path, "--output", tmp_path / "o.jsonl"])
+        assert code == 2
+        assert "beam_width" in capsys.readouterr().err
+
     def test_whitespace_records_decode_text(self, tmp_path):
         out = tmp_path / "o.jsonl"
         code = run(["generate", "--input", FIXTURES / "dialogues_text.jsonl",

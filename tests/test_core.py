@@ -1,6 +1,8 @@
 """Config validation, serialization round-trips, and generation-state invariants."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,18 @@ class TestValidateConfig:
     )
     def test_each_bound_names_its_field(self, field, value):
         cfg = StrategyConfig(**{field: value})
+        with pytest.raises(RangeError) as exc:
+            validate_config(cfg, 64)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "beta", "m", "bootstrap_n", "bootstrap_k", "bootstrap_p",
+         "beam_width", "max_new_tokens", "seed"],
+    )
+    def test_boolean_is_not_a_number(self, field):
+        # True would pass as the int 1: beam would silently run at width 1.
+        cfg = StrategyConfig.from_json(json.dumps({field: True}))
         with pytest.raises(RangeError) as exc:
             validate_config(cfg, 64)
         assert exc.value.field == field

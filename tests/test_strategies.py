@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ipsearch import (
     ScriptedBackend,
     StepOutput,
     StrategyConfig,
+    TinyTransformer,
     beam_search,
     encode_context,
     generate,
@@ -29,7 +31,14 @@ from ipsearch import (
 from ipsearch.core import STRATEGIES
 
 from conftest import CountingBackend, random_scripted
-from oracles import o_argmax_low_id, o_degeneration_penalty, o_enumerate_sequences, o_nucleus, o_top_m
+from oracles import (
+    o_argmax_low_id,
+    o_beam_search,
+    o_degeneration_penalty,
+    o_enumerate_sequences,
+    o_nucleus,
+    o_top_m,
+)
 
 
 class TestGreedyStep:
@@ -181,6 +190,111 @@ class TestBeamSearch:
         enc = encode_context(ctx, backend.info.eou_token_id)
         with pytest.raises(RangeError):
             beam_search(backend, enc, width=0, max_new_tokens=2)
+
+
+def tied_scripted(seed: int, vocab_size: int, eou: int, depth: int, nudge: bool):
+    """A table over every prefix beam can expand in `depth` steps, full of ties.
+
+    Each distribution is integer weights 0-3, normalised, so equal weights
+    tie and zeros score -inf. With `nudge`, each positive entry moves 0-2
+    ulps down, so distinct probabilities can round to the same score.
+    """
+    info = BackendInfo(vocab_size=vocab_size, hidden_dim=2, eou_token_id=eou)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = ((eou + 1) % vocab_size, eou)
+
+    def probs():
+        w = rng.integers(0, 4, size=vocab_size)
+        w[rng.integers(0, vocab_size)] = max(1, w.max())
+        p = w / w.sum()
+        if nudge:
+            for i in np.flatnonzero(p):
+                for _ in range(int(rng.integers(0, 3))):
+                    p[i] = np.nextafter(p[i], 0.0)
+        return p
+
+    table = {}
+    suffixes = [()]
+    for _ in range(depth):
+        for s in suffixes:
+            table[base + s] = StepOutput(
+                probs=probs(),
+                hidden_last=np.ones(2),
+                hidden_all=[np.ones(2)] * len(base) if not s else None,
+            )
+        suffixes = [s + (t,) for s in suffixes for t in range(vocab_size) if t != eou]
+    return ScriptedBackend(info, table), DialogueContext([[base[0]]])
+
+
+def assert_beam_matches_exhaustive(backend, ctx, width, max_new_tokens):
+    """beam_search and the exhaustive o_beam_search agree on every output and
+    on the number of forward calls each makes; returns beam_search's result."""
+    enc = encode_context(ctx, backend.info.eou_token_id)
+    fast, slow = CountingBackend(backend), CountingBackend(backend)
+    res = beam_search(fast, enc, width, max_new_tokens)
+    tokens, probs, stop_reason, session = o_beam_search(slow, enc, width, max_new_tokens)
+    assert res.tokens == tokens
+    assert [r.prob for r in res.per_step] == probs
+    assert res.stop_reason == stop_reason
+    assert res.session.tokens == session.tokens
+    assert fast.forward_calls == slow.forward_calls
+    return res
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab_size=st.integers(2, 6),
+    max_new_tokens=st.integers(1, 4),
+    nudge=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_beam_matches_exhaustive_expansion_under_ties(seed, vocab_size, max_new_tokens, nudge, data):
+    eou = data.draw(st.integers(0, vocab_size - 1), label="eou")
+    width = data.draw(st.integers(1, vocab_size + 1), label="width")
+    backend, ctx = tied_scripted(seed, vocab_size, eou, max_new_tokens, nudge)
+    assert_beam_matches_exhaustive(backend, ctx, width, max_new_tokens)
+
+
+def test_beam_walk_margin_covers_a_non_monotone_log():
+    # A log one ulp low on odd mantissas. Three adjacent doubles x > x1 > x2
+    # share one log value v, so they score v, v - 1 ulp, v in walk order:
+    # the score dips below the cut and comes back to tie it. The tie goes to
+    # x2's lower id, so a walk that stopped at the dip would return x's id.
+    real_log = math.log
+
+    def wobbly_log(value):
+        mantissa = int(math.frexp(value)[0] * 2**53)
+        return math.nextafter(real_log(value), -math.inf) if mantissa & 1 else real_log(value)
+
+    x = 0.12
+    while True:
+        x1 = math.nextafter(x, 0.0)
+        x2 = math.nextafter(x1, 0.0)
+        if wobbly_log(x) == wobbly_log(x2) == math.nextafter(wobbly_log(x1), math.inf):
+            break
+        x = x1
+    rest = (1.0 - x - x1 - x2) / 6
+    probs = np.array([x2, x, x1] + [rest] * 6)
+    info = BackendInfo(vocab_size=9, hidden_dim=2, eou_token_id=8)
+    backend = ScriptedBackend(
+        info, {(0, 8): StepOutput(probs=probs, hidden_last=np.ones(2), hidden_all=[np.ones(2)] * 2)}
+    )
+    with mock.patch("math.log", wobbly_log):
+        res = assert_beam_matches_exhaustive(backend, DialogueContext([[0]]), width=1, max_new_tokens=1)
+    assert res.tokens == [0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_beam_matches_exhaustive_expansion_on_the_compare_model(contexts24, width):
+    # The model of the benchmark's compare workload, at V = 2048.
+    backend = TinyTransformer(seed=42, vocab_size=2048, hidden_dim=32, layers=4, heads=4)
+    for ctx in contexts24:
+        enc = encode_context(ctx, backend.info.eou_token_id)
+        res = beam_search(backend, enc, width, 12)
+        tokens, probs, _, _ = o_beam_search(backend, enc, width, 12)
+        assert res.tokens == tokens
+        assert [r.prob for r in res.per_step] == probs
 
 
 def contrastive_fixture():
