@@ -22,7 +22,6 @@ from .core import (
     CandidateScore,
     DialogueContext,
     GenerationResult,
-    GenerationState,
     StepRecord,
     StrategyConfig,
     TokenId,
@@ -81,7 +80,6 @@ __all__ = [
     "DimensionError",
     "EncodedContext",
     "GenerationResult",
-    "GenerationState",
     "MissingEntryError",
     "ProtocolError",
     "RangeError",

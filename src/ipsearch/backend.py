@@ -308,6 +308,8 @@ class TinyTransformer(Backend):
         eou_token_id: TokenId | None = None,
         max_seq_len: int = 512,
     ):
+        if heads < 1:
+            raise ArgumentError(f"heads must be >= 1, got {heads}")
         if hidden_dim % heads != 0:
             raise ArgumentError(f"hidden_dim {hidden_dim} not divisible by heads {heads}")
         if layers < 1:

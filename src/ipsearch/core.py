@@ -6,12 +6,12 @@ arrays whose length is the backend's hidden dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionError, RangeError
+from .errors import ArgumentError, RangeError
 
 if TYPE_CHECKING:
     from .backend import Session
@@ -143,37 +143,6 @@ def validate_config(cfg: StrategyConfig, vocab_size: int) -> StrategyConfig:
     if not isinstance(cfg.strict_isotropy, bool):
         raise RangeError("strict_isotropy", f"must be a boolean, got {cfg.strict_isotropy!r}")
     return cfg
-
-
-@dataclass
-class GenerationState:
-    """Single-writer state of one generation run.
-
-    ``response_rep`` is the running mean of ``generated_hiddens``; it is
-    maintained from an exact running sum so it matches a from-scratch mean
-    to well under 1e-9 per component.
-    """
-
-    utterance_reps: list[np.ndarray]
-    generated: list[TokenId] = field(default_factory=list)
-    generated_hiddens: list[np.ndarray] = field(default_factory=list)
-    response_rep: Optional[np.ndarray] = None
-    step: int = 0
-    _hidden_sum: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def append(self, token: TokenId, hidden) -> None:
-        h = np.asarray(hidden, dtype=float)
-        if h.ndim != 1:
-            raise DimensionError(f"hidden vector must be 1-D, got shape {h.shape}")
-        if self.generated_hiddens and h.shape != self.generated_hiddens[0].shape:
-            raise DimensionError(
-                f"hidden length {h.shape[0]} != {self.generated_hiddens[0].shape[0]}"
-            )
-        self.generated.append(int(token))
-        self.generated_hiddens.append(h)
-        self._hidden_sum = h.copy() if self._hidden_sum is None else self._hidden_sum + h
-        self.step += 1
-        self.response_rep = self._hidden_sum / self.step
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import GenerationResult, TokenId
 from .errors import ArgumentError
-from .scoring import cosine, response_representation
+from .scoring import _as_array, cosine, isotropic_value, response_representation
 
 
 def distinct_n(responses: Sequence[Sequence[TokenId]], n: int) -> float:
@@ -32,14 +32,13 @@ def distinct_n(responses: Sequence[Sequence[TokenId]], n: int) -> float:
 
 def similarity_heatmap(hiddens: Sequence) -> np.ndarray:
     """L x L matrix of pairwise cosines; symmetric with unit diagonal."""
-    vectors = [np.asarray(h, dtype=float) for h in hiddens]
-    if not vectors:
+    if len(hiddens) == 0:
         raise ArgumentError("hiddens must be non-empty")
-    n = len(vectors)
-    matrix = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            matrix[i, j] = matrix[j, i] = cosine(vectors[i], vectors[j])
+    vectors = _as_array(hiddens, (2,))
+    matrix = cosine(vectors, vectors)
+    # Mirror the upper triangle so the matrix is exactly symmetric.
+    i, j = np.triu_indices(len(vectors), 1)
+    matrix[j, i] = matrix[i, j]
     return matrix
 
 
@@ -63,18 +62,9 @@ def diagnostics(
 ) -> Diagnostics:
     if not result.tokens:
         raise ArgumentError("result has no tokens")
-    vectors = [np.asarray(h, dtype=float) for h in hiddens]
-    if not vectors:
-        raise ArgumentError("hiddens must be non-empty")
-    n = len(vectors)
-    if n == 1:
-        intra = 1.0
-    else:
-        sims = [cosine(vectors[i], vectors[j]) for i in range(n) for j in range(i + 1, n)]
-        intra = sum(sims) / len(sims)
-    rep = response_representation(vectors)
-    ctx_sims = [cosine(rep, u) for u in utterance_reps]
-    context = sum(ctx_sims) / len(ctx_sims)
+    n = len(hiddens)
+    intra = 1.0 if n == 1 else float(np.mean(similarity_heatmap(hiddens)[np.triu_indices(n, 1)]))
+    context = isotropic_value(response_representation(hiddens), utterance_reps)
     trace = [(r.p_value, r.i_value, r.score) for r in result.per_step]
     return Diagnostics(
         mean_intra_response_cosine=intra,

@@ -1,7 +1,9 @@
 """The numeric heart of the decoder: cosine-based proximity and isotropy terms.
 
-All functions are pure. Candidate ties anywhere in the package are broken by
-ascending token id, so scores are compared as exact reals.
+All functions are pure. Each takes one candidate vector, giving a float (or
+one representation), or a matrix of candidate rows, giving one per row.
+Candidate ties anywhere in the package are broken by ascending token id, so
+scores are compared as exact reals.
 """
 from __future__ import annotations
 
@@ -15,61 +17,90 @@ from .errors import ArgumentError, DegenerateVectorError, DimensionError
 DEGENERATE_NORM = 1e-12
 
 
-def cosine(a, b) -> float:
-    """dot(a,b) / (|a||b|), clamped into [-1, 1] to absorb rounding."""
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.ndim != 1 or vb.ndim != 1 or va.shape != vb.shape:
+def _as_array(x, ndims=(1, 2)) -> np.ndarray:
+    """``x`` as a float vector or matrix of row vectors; DimensionError otherwise."""
+    try:
+        v = np.asarray(x, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise DimensionError(f"not a vector or a matrix of equal-length rows: {exc}") from exc
+    if v.ndim not in ndims:
+        raise DimensionError(f"expected {' or '.join(map(str, ndims))} dimensions, got shape {v.shape}")
+    return v
+
+
+def _norms(v: np.ndarray):
+    # A single vector keeps the one np.linalg.norm call it always had.
+    return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=1)
+
+
+def cosine(a, b):
+    """dot(a,b) / (|a||b|), clamped into [-1, 1] to absorb rounding.
+
+    Each side is one vector or a matrix of row vectors: two vectors give a
+    float, a vector and a matrix one value per row, and two matrices the
+    (len(a) x len(b)) block of every pair.
+    """
+    va = _as_array(a)
+    vb = _as_array(b)
+    if va.shape[-1] != vb.shape[-1]:
         raise DimensionError(f"vector shapes differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na <= DEGENERATE_NORM or nb <= DEGENERATE_NORM:
-        raise DegenerateVectorError(f"near-zero norm ({na}, {nb})")
-    return float(min(1.0, max(-1.0, float(va @ vb) / (na * nb))))
+    na = _norms(va)
+    nb = _norms(vb)
+    if np.any(na <= DEGENERATE_NORM) or np.any(nb <= DEGENERATE_NORM):
+        raise DegenerateVectorError(f"near-zero norm ({np.min(na)}, {np.min(nb)})")
+    sims = (va @ vb.T) / np.multiply.outer(na, nb)
+    # fmax/fmin map NaN to -1.0, as the built-in max/min always did.
+    return _unwrap(np.fmin(1.0, np.fmax(-1.0, sims)))
 
 
-def response_representation(
-    generated_hiddens: Sequence, candidate=None
-) -> np.ndarray:
+def _unwrap(values):
+    """A float for one vector's result; the array of per-row results otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def response_representation(generated_hiddens: Sequence, candidate=None) -> np.ndarray:
     """Mean of the generated-token hidden states, optionally with a candidate folded in.
 
     The divisor is the count of vectors averaged, so the result is the
     undergoing response representation as it would stand after accepting the
-    candidate.
+    candidate. A matrix of candidate rows gives one representation per row.
     """
-    vectors = [np.asarray(h, dtype=float) for h in generated_hiddens]
-    if candidate is not None:
-        vectors.append(np.asarray(candidate, dtype=float))
-    if not vectors:
-        raise ArgumentError("need at least one hidden vector or a candidate")
-    shape = vectors[0].shape
-    if any(v.shape != shape for v in vectors):
+    if candidate is None:
+        if len(generated_hiddens) == 0:
+            raise ArgumentError("need at least one hidden vector or a candidate")
+        return np.mean(_as_array(generated_hiddens, (2,)), axis=0)
+    cands = _as_array(candidate)
+    if len(generated_hiddens) == 0:
+        return cands.copy()
+    rows = _as_array(generated_hiddens, (2,))
+    if rows.shape[1] != cands.shape[-1]:
         raise DimensionError("hidden vectors have mixed lengths")
-    return np.mean(np.stack(vectors), axis=0)
+    # The row sum runs in order and the candidate comes last, as in a mean
+    # over the stacked vectors.
+    return (np.sum(rows, axis=0) + cands) / (len(rows) + 1)
 
 
-def proximal_value(candidate_hidden, generated_hiddens: Sequence) -> float:
+def proximal_value(candidate_hidden, generated_hiddens: Sequence):
     """Mean cosine of the candidate to each already-generated token's hidden state.
 
     Defined as 0.0 for an empty history (the very first step when no
     bootstrap ran).
     """
     if len(generated_hiddens) == 0:
-        return 0.0
-    sims = [cosine(candidate_hidden, h) for h in generated_hiddens]
-    return sum(sims) / len(sims)
+        cands = _as_array(candidate_hidden)
+        return 0.0 if cands.ndim == 1 else np.zeros(len(cands))
+    return _unwrap(np.mean(cosine(candidate_hidden, _as_array(generated_hiddens, (2,))), axis=-1))
 
 
-def isotropic_value(response_rep, utterance_reps: Sequence) -> float:
+def isotropic_value(response_rep, utterance_reps: Sequence):
     """Mean cosine of the response representation to each utterance representation."""
     if len(utterance_reps) == 0:
         raise ArgumentError("utterance_reps must be non-empty")
-    sims = [cosine(response_rep, u) for u in utterance_reps]
-    return sum(sims) / len(sims)
+    return _unwrap(np.mean(cosine(response_rep, _as_array(utterance_reps, (2,))), axis=-1))
 
 
-def ips_score(prob: float, p_value: float, i_value: float, cfg: StrategyConfig) -> float:
-    """alpha * prob + (1 - alpha) * penalty.
+def ips_score(prob, p_value, i_value, cfg: StrategyConfig):
+    """alpha * prob + (1 - alpha) * penalty, for one candidate or elementwise.
 
     penalty_form "eq5" uses (p_value - i_value); "beta" uses
     (1 - beta) * p_value - beta * i_value, which at beta = 0.5 halves the
@@ -82,8 +113,8 @@ def ips_score(prob: float, p_value: float, i_value: float, cfg: StrategyConfig) 
     return cfg.alpha * prob + (1.0 - cfg.alpha) * penalty
 
 
-def degeneration_penalty(candidate_hidden, prefix_hiddens: Sequence) -> float:
+def degeneration_penalty(candidate_hidden, prefix_hiddens: Sequence):
     """Maximum cosine of the candidate to any prefix token's hidden state."""
     if len(prefix_hiddens) == 0:
         raise ArgumentError("prefix_hiddens must be non-empty")
-    return max(cosine(candidate_hidden, h) for h in prefix_hiddens)
+    return _unwrap(np.max(cosine(candidate_hidden, _as_array(prefix_hiddens, (2,))), axis=-1))

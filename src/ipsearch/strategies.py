@@ -21,7 +21,6 @@ from .core import (
     CandidateScore,
     DialogueContext,
     GenerationResult,
-    GenerationState,
     StepRecord,
     StrategyConfig,
     TokenId,
@@ -155,19 +154,22 @@ def beam_search(
             if tokens:
                 session = session.extend(tokens[-1])
             step_probs = session.probs
-            # Walk descending p (tied ids ascending). Once the beam holds
-            # `width` candidates, none scoring below the least of them (the
-            # cut) can make the step's top `width`; one tying the cut still
-            # can, on the token tie-break. Scores only fall along the walk up
-            # to math.log's error: under 1 ulp per call, so a later (smaller)
-            # p can outscore an earlier one by under 2 ulp, plus under 1 ulp
-            # from rounding the sum (p <= 1 keeps every score <= 0, so these
-            # ulps are at most ulp(cut) for any score near the cut). The
-            # walk therefore stops 4 ulp(cut) below the cut. A cut of -inf
-            # keeps every -inf candidate, as the exhaustive ranking does.
+            # Walk descending p. Once the beam holds `width` candidates, none
+            # scoring below the least of them (the cut) can make the step's
+            # top `width`; one tying the cut still can, on the token
+            # tie-break. Tied p may come in any order: they share one score,
+            # so the cut and the set kept do not depend on their order, and
+            # the pooled ranking below orders them by tokens. Scores only
+            # fall along the walk up to math.log's error: under 1 ulp per
+            # call, so a later (smaller) p can outscore an earlier one by
+            # under 2 ulp, plus under 1 ulp from rounding the sum (p <= 1
+            # keeps every score <= 0, so these ulps are at most ulp(cut) for
+            # any score near the cut). The walk therefore stops 4 ulp(cut)
+            # below the cut. A cut of -inf keeps every -inf candidate, as the
+            # exhaustive ranking does.
             floor = -math.inf
             kept = 0
-            for t in np.argsort(-step_probs, kind="stable").tolist():
+            for t in np.argsort(-step_probs).tolist():
                 pt = float(step_probs[t])
                 lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
                 if lpt < floor:
@@ -209,60 +211,56 @@ def _sample_token(rule: str, probs: np.ndarray, cfg: StrategyConfig, rng: Rng) -
     return greedy_step(probs)
 
 
-def _ips_candidate(
-    state: GenerationState, cfg: StrategyConfig, token: TokenId, prob: float, hidden: np.ndarray
-) -> CandidateScore:
-    p_val = proximal_value(hidden, state.generated_hiddens)
-    if cfg.strict_isotropy and state.step >= 1:
-        rep = state.response_rep
+def _ips_scores(
+    generated: list[np.ndarray], utterance_reps: list[np.ndarray], cfg: StrategyConfig,
+    probs: np.ndarray, hiddens: list[np.ndarray],
+) -> dict[str, np.ndarray]:
+    """Proximal and isotropic values and the IPS score of every candidate row."""
+    p_val = proximal_value(hiddens, generated)
+    if cfg.strict_isotropy and generated:
+        # Strict isotropy reads the tokens generated so far only, so it is the
+        # same for every candidate.
+        i_val = np.full(len(hiddens), isotropic_value(response_representation(generated), utterance_reps))
     else:
-        rep = response_representation(state.generated_hiddens, candidate=hidden)
-    i_val = isotropic_value(rep, state.utterance_reps)
-    return CandidateScore(
-        token=token,
-        prob=prob,
-        p_value=p_val,
-        i_value=i_val,
-        score=ips_score(prob, p_val, i_val, cfg),
-        hidden=hidden,
-    )
+        i_val = isotropic_value(response_representation(generated, candidate=hiddens), utterance_reps)
+    return {"p_value": p_val, "i_value": i_val, "score": ips_score(probs, p_val, i_val, cfg)}
 
 
-def _contrastive_candidate(
-    prefix_hiddens: list[np.ndarray], alpha: float, token: TokenId, prob: float, hidden: np.ndarray
-) -> CandidateScore:
+def _contrastive_scores(
+    prefix_hiddens: list[np.ndarray], alpha: float, probs: np.ndarray, hiddens: list[np.ndarray]
+) -> dict[str, np.ndarray]:
     """Confidence minus max similarity to any prefix token (context and
-    generated alike)."""
-    penalty = degeneration_penalty(hidden, prefix_hiddens)
-    return CandidateScore(
-        token=token,
-        prob=prob,
-        penalty=penalty,
-        score=(1.0 - alpha) * prob - alpha * penalty,
-        hidden=hidden,
-    )
+    generated alike), for every candidate row."""
+    penalty = degeneration_penalty(hiddens, prefix_hiddens)
+    return {"penalty": penalty, "score": (1.0 - alpha) * probs - alpha * penalty}
 
 
 def _search_step(
     session: Session,
     m: int,
-    score: Callable[[TokenId, float, np.ndarray], CandidateScore],
+    score: Callable[[np.ndarray, list[np.ndarray]], dict[str, np.ndarray]],
 ) -> tuple[StepRecord, np.ndarray]:
     """Probe the top-m candidates and keep the best-scoring one.
 
-    Returns the step record, with every candidate's breakdown, and the
-    chosen candidate's hidden state.
+    ``score`` maps the candidates' probabilities and hidden rows to one value
+    per candidate for each CandidateScore field it fills. Returns the step
+    record, with every candidate's breakdown, and the chosen candidate's
+    hidden state.
     """
     probs = session.probs
     ids = sorted(topk_set(probs, m))
     hiddens = session.probe(ids)
-    scored = [score(token, float(probs[token]), hidden) for token, hidden in zip(ids, hiddens)]
-    # Candidates are in ascending token-id order; strict > keeps the lowest
-    # id on ties.
-    best = scored[0]
-    for cand in scored[1:]:
-        if cand.score > best.score:
-            best = cand
+    fields = {name: values.tolist() for name, values in score(probs[ids], hiddens).items()}
+    scored = [
+        CandidateScore(
+            token=token, prob=float(probs[token]), hidden=hidden,
+            **{name: values[i] for name, values in fields.items()},
+        )
+        for i, (token, hidden) in enumerate(zip(ids, hiddens))
+    ]
+    # Candidates are in ascending token-id order, and argmax keeps the first
+    # maximum, so ties go to the lowest id.
+    best = scored[int(np.argmax(fields["score"]))]
     record = StepRecord(
         token=best.token,
         prob=best.prob,
@@ -297,30 +295,28 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
     session = backend.open(enc.tokens)
     context_hidden = session.hidden_all
     utterance_reps = [context_hidden[p] for p in enc.eou_positions]
-    state = GenerationState(utterance_reps=utterance_reps)
     rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
     records: list[StepRecord] = []
     generated: list[int] = []
+    generated_hiddens: list[np.ndarray] = []
     stop_reason = "max_len"
 
     while True:
         if cfg.strategy == "contrastive":
-            score = partial(
-                _contrastive_candidate, list(context_hidden) + state.generated_hiddens, cfg.alpha
-            )
+            score = partial(_contrastive_scores, list(context_hidden) + generated_hiddens, cfg.alpha)
             record, hidden = _search_step(session, cfg.m, score)
-            state.append(record.token, hidden)
-        elif cfg.strategy == "ips" and state.step >= cfg.bootstrap_n:
-            score = partial(_ips_candidate, state, cfg)
+            generated_hiddens.append(hidden)
+        elif cfg.strategy == "ips" and len(generated) >= cfg.bootstrap_n:
+            score = partial(_ips_scores, generated_hiddens, utterance_reps, cfg)
             record, hidden = _search_step(session, cfg.m, score)
-            state.append(record.token, hidden)
+            generated_hiddens.append(hidden)
         else:
             probs = session.probs
             token = _sample_token(rule, probs, cfg, rng)
             record = StepRecord(token=token, prob=float(probs[token]))
             if cfg.strategy == "ips":
-                state.append(token, session.probe([token])[0])
+                generated_hiddens.append(session.probe([token])[0])
 
         generated.append(record.token)
         records.append(record)

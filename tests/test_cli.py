@@ -143,6 +143,13 @@ class TestGenerate:
         assert code == 2
         assert "beam_width" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("heads", [0, -2])
+    def test_tiny_spec_without_heads_is_usage_error(self, tmp_path, records_file, capsys, heads):
+        code = run(["generate", "--input", records_file, "--backend", f"tiny:42,64,16,2,{heads}",
+                    "--strategy", "ips", "--max-new-tokens", 3, "--output", tmp_path / "o.jsonl"])
+        assert code == 2
+        assert f"heads must be >= 1, got {heads}" in capsys.readouterr().err
+
     def test_whitespace_records_decode_text(self, tmp_path):
         out = tmp_path / "o.jsonl"
         code = run(["generate", "--input", FIXTURES / "dialogues_text.jsonl",

@@ -1,14 +1,13 @@
-"""Config validation, serialization round-trips, and generation-state invariants."""
+"""Config validation and serialization round-trips."""
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipsearch import ArgumentError, GenerationState, RangeError, StrategyConfig, validate_config
+from ipsearch import ArgumentError, RangeError, StrategyConfig, validate_config
 
 
 class TestValidateConfig:
@@ -101,28 +100,3 @@ class TestConfigRoundTrip:
     def test_non_object_rejected(self):
         with pytest.raises(ArgumentError):
             StrategyConfig.from_json("[1, 2]")
-
-
-class TestGenerationState:
-    @given(
-        st.lists(
-            st.lists(st.floats(-5, 5), min_size=4, max_size=4),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    @settings(max_examples=100)
-    def test_running_mean_matches_from_scratch(self, vectors):
-        state = GenerationState(utterance_reps=[])
-        for i, vec in enumerate(vectors):
-            state.append(i, vec)
-        expected = np.mean(np.array(vectors), axis=0)
-        assert state.step == len(vectors)
-        assert len(state.generated) == len(state.generated_hiddens) == state.step
-        np.testing.assert_allclose(state.response_rep, expected, atol=1e-9)
-
-    def test_mixed_lengths_rejected(self):
-        state = GenerationState(utterance_reps=[])
-        state.append(0, [1.0, 2.0])
-        with pytest.raises(Exception, match="length"):
-            state.append(1, [1.0, 2.0, 3.0])

@@ -10,7 +10,6 @@ from ipsearch import (
     ArgumentError,
     DegenerateVectorError,
     DimensionError,
-    GenerationState,
     StrategyConfig,
     cosine,
     degeneration_penalty,
@@ -18,6 +17,7 @@ from ipsearch import (
     isotropic_value,
     proximal_value,
     response_representation,
+    similarity_heatmap,
 )
 
 vec3 = st.lists(st.floats(-3, 3), min_size=3, max_size=3).filter(
@@ -82,15 +82,6 @@ class TestResponseRepresentation:
     def test_mixed_lengths(self):
         with pytest.raises(DimensionError):
             response_representation([[1, 2], [1, 2, 3]])
-
-    @given(st.lists(vec3, min_size=1, max_size=10))
-    @settings(max_examples=100)
-    def test_incremental_update_matches_from_scratch(self, vectors):
-        state = GenerationState(utterance_reps=[])
-        for i, v in enumerate(vectors):
-            state.append(i, v)
-            expected = response_representation(vectors[: i + 1])
-            np.testing.assert_allclose(state.response_rep, expected, atol=1e-9)
 
 
 class TestProximalValue:
@@ -183,3 +174,83 @@ class TestDegenerationPenalty:
     def test_empty_rejected(self):
         with pytest.raises(ArgumentError):
             degeneration_penalty([1, 0], [])
+
+
+# Each case raises its error at the parent of the block kernel and after it.
+ERROR_CONTRACT = {
+    "heatmap-ragged-rows": (lambda: similarity_heatmap([[1, 0], [1, 0, 0]]), DimensionError),
+    "proximal-ragged-history": (lambda: proximal_value([1, 0], [[1, 0], [1, 0, 2]]), DimensionError),
+    "penalty-ragged-prefix": (lambda: degeneration_penalty([1, 0], [[1, 0], [1]]), DimensionError),
+    "proximal-wrong-length-history": (lambda: proximal_value([1, 0], [[1, 0, 0]]), DimensionError),
+    "isotropic-wrong-length-utterances": (lambda: isotropic_value([1, 0], [[1, 0, 0]]), DimensionError),
+    "penalty-wrong-length-prefix": (lambda: degeneration_penalty([1, 0], [[1, 0, 0]]), DimensionError),
+    "cosine-3d": (lambda: cosine(np.ones((2, 2, 2)), [1.0, 1.0]), DimensionError),
+    "isotropic-3d-rep": (lambda: isotropic_value(np.ones((1, 1, 2)), [[1, 0]]), DimensionError),
+    "isotropic-3d-utterances": (lambda: isotropic_value([1, 0], np.ones((2, 1, 2))), DimensionError),
+    "representation-mixed-history": (lambda: response_representation([[1, 2], [1, 2, 3]]), DimensionError),
+    "representation-mixed-candidate": (
+        lambda: response_representation([[1, 2]], candidate=[1, 2, 3]), DimensionError
+    ),
+    "cosine-norm-at-threshold": (lambda: cosine([1e-12, 0.0], [1.0, 0.0]), DegenerateVectorError),
+    "proximal-zero-history-row": (lambda: proximal_value([1, 0], [[1, 0], [0, 0]]), DegenerateVectorError),
+    "isotropic-zero-rep": (lambda: isotropic_value([0, 0], [[1, 0]]), DegenerateVectorError),
+    "penalty-zero-candidate": (lambda: degeneration_penalty([0, 0], [[1, 0]]), DegenerateVectorError),
+    "heatmap-zero-row": (lambda: similarity_heatmap([[1, 0], [0, 0]]), DegenerateVectorError),
+    "isotropic-no-utterances": (lambda: isotropic_value([1, 0], []), ArgumentError),
+    "penalty-no-prefix": (lambda: degeneration_penalty([1, 0], []), ArgumentError),
+    "representation-of-nothing": (lambda: response_representation([]), ArgumentError),
+    "heatmap-of-nothing": (lambda: similarity_heatmap([]), ArgumentError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CONTRACT))
+def test_error_contract(case):
+    call, error = ERROR_CONTRACT[case]
+    with pytest.raises(error):
+        call()
+
+
+rows3 = st.lists(vec3, min_size=1, max_size=6)
+
+
+class TestCandidateRows:
+    """A matrix of candidate rows gives, per row, what one vector gives."""
+
+    def test_cosine_shapes(self):
+        a, b = [[1, 0], [0, 2], [1, 1]], [[1, 0], [0, 1]]
+        assert isinstance(cosine([1, 0], [0, 1]), float)
+        assert cosine([1, 0], b).shape == (2,)
+        assert cosine(a, [1, 0]).shape == (3,)
+        np.testing.assert_allclose(cosine(a, b), [[1, 0], [0, 1], [2**-0.5, 2**-0.5]], atol=1e-15)
+
+    @given(rows3, rows3, rows3)
+    @settings(max_examples=100)
+    def test_each_row_is_its_single_vector_value(self, cands, hist, ureps):
+        rows = np.array(cands)
+        cfg = StrategyConfig(alpha=0.3)
+        p_block = proximal_value(rows, hist)
+        reps = response_representation(hist, candidate=rows)
+        i_block = isotropic_value(reps, ureps)
+        pen_block = degeneration_penalty(rows, hist)
+        for i, cand in enumerate(cands):
+            # The representation is bitwise a single candidate's.
+            assert reps[i].tobytes() == response_representation(hist, candidate=cand).tobytes()
+            assert p_block[i] == pytest.approx(proximal_value(cand, hist), abs=1e-12)
+            assert i_block[i] == pytest.approx(isotropic_value(reps[i], ureps), abs=1e-12)
+            assert pen_block[i] == pytest.approx(degeneration_penalty(cand, hist), abs=1e-12)
+        np.testing.assert_array_equal(
+            ips_score(rows[:, 0], p_block, i_block, cfg),
+            [ips_score(c[0], p, v, cfg) for c, p, v in zip(cands, p_block, i_block)],
+        )
+
+    def test_empty_history_gives_zero_per_row(self):
+        np.testing.assert_array_equal(proximal_value([[1, 0], [0, 1]], []), [0.0, 0.0])
+        np.testing.assert_array_equal(response_representation([], candidate=[[1, 0], [0, 3]]), [[1, 0], [0, 3]])
+
+    def test_degenerate_row_rejected(self):
+        with pytest.raises(DegenerateVectorError):
+            proximal_value([[1, 0], [0, 0]], [[1, 1]])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionError):
+            degeneration_penalty([[1, 0], [0, 1, 0]], [[1, 1]])

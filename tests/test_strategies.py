@@ -36,7 +36,11 @@ from oracles import (
     o_beam_search,
     o_degeneration_penalty,
     o_enumerate_sequences,
+    o_ips_score,
+    o_isotropic_value,
     o_nucleus,
+    o_proximal_value,
+    o_response_representation,
     o_top_m,
 )
 
@@ -455,3 +459,57 @@ def test_contrastive_choices_replay_from_scratch(tiny_backend, utterances, alpha
     ctx = DialogueContext(utterances)
     cfg = StrategyConfig(strategy="contrastive", alpha=alpha, m=m, max_new_tokens=max_new_tokens)
     replay_contrastive_run(tiny_backend, ctx, cfg, generate(tiny_backend, ctx, cfg))
+
+
+SEARCH_CONFIGS = [
+    *(
+        dict(strategy="ips", penalty_form=form, beta=0.3, strict_isotropy=strict, bootstrap_n=n)
+        for form in ("eq5", "beta")
+        for strict in (False, True)
+        for n in (0, 2)
+    ),
+    dict(strategy="contrastive", alpha=0.4),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides", SEARCH_CONFIGS, ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items())
+)
+def test_block_scores_match_the_scalar_oracles(tiny_backend, contexts24, overrides):
+    """Every candidate's breakdown is the pure-Python oracle's, within 1e-12,
+    and every choice is the oracle's lowest-id argmax."""
+    cfg = StrategyConfig(m=5, max_new_tokens=8, **overrides)
+    for seed, ctx in enumerate(contexts24):
+        res = generate(tiny_backend, ctx, cfg.replace(seed=seed))
+        # The last session holds the context rows and every reply row the loop scored.
+        rows = res.session.extend(res.tokens[-1]).hidden_all
+        generated = rows[len(rows) - len(res.tokens):]
+        context = rows[: len(rows) - len(res.tokens)]
+        for s, record in enumerate(res.per_step):
+            if record.candidates is None:
+                assert cfg.strategy == "ips" and s < cfg.bootstrap_n
+                continue
+            history = generated[:s]
+            oracle = []
+            for cand in record.candidates:
+                if cfg.strategy == "contrastive":
+                    penalty = o_degeneration_penalty(cand.hidden, context + history)
+                    assert cand.penalty == pytest.approx(penalty, abs=1e-12)
+                    score = (1.0 - cfg.alpha) * cand.prob - cfg.alpha * penalty
+                else:
+                    p_val = o_proximal_value(cand.hidden, history)
+                    if cfg.strict_isotropy and history:
+                        rep = o_response_representation(history)
+                    else:
+                        rep = o_response_representation(history, cand.hidden)
+                    i_val = o_isotropic_value(rep, res.utterance_reps)
+                    assert cand.p_value == pytest.approx(p_val, abs=1e-12)
+                    assert cand.i_value == pytest.approx(i_val, abs=1e-12)
+                    score = o_ips_score(cand.prob, p_val, i_val, cfg.alpha, cfg.beta, cfg.penalty_form)
+                assert cand.score == pytest.approx(score, abs=1e-12)
+                oracle.append((cand.token, score))
+            # o_argmax_low_id takes the pairs in ascending token order.
+            assert [t for t, _ in oracle] == sorted(t for t, _ in oracle)
+            assert record.token == o_argmax_low_id(oracle)
+            if cfg.strict_isotropy and history:
+                assert len({c.i_value for c in record.candidates}) == 1
