@@ -272,14 +272,33 @@ def load_scripted(path: str | Path) -> ScriptedBackend:
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    # The reductions x.mean and x.var make (a sum, then a division by the
+    # count, each), with the centred rows computed once; the result is
+    # bitwise theirs.
+    n = x.shape[-1]
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
+    return centred / np.sqrt(var + eps) * gamma + beta
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     z = x - x.max(axis=-1, keepdims=True)
     e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _causal_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax of each row of the trailing (t, t) blocks of ``scores`` over the
+    columns at or before the row; later columns get exactly 0.0.
+
+    Bitwise ``_softmax(scores + mask)`` with -inf above the diagonal: the
+    masked entries are never exponentiated (exp(-inf) is numpy's slow path)
+    and keep the 0.0 it would give.
+    """
+    t = scores.shape[-1]
+    causal = np.tri(t, dtype=bool)
+    z = scores - np.max(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf)
+    e = np.exp(z, where=causal, out=np.zeros_like(z))
     return e / e.sum(axis=-1, keepdims=True)
 
 
@@ -357,25 +376,24 @@ class TinyTransformer(Backend):
         return self._info
 
     def _qkv(self, x: np.ndarray, blk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Queries, keys and values of the rows of ``x``, each (heads, rows, head_dim)."""
-        t, d = x.shape
+        """Queries, keys and values of the rows of ``x`` (..., rows, d), each
+        (..., heads, rows, head_dim)."""
+        *batch, t, d = x.shape
         hd = d // self._heads
         return tuple(
-            (x @ blk[w]).reshape(t, self._heads, hd).transpose(1, 0, 2) for w in ("wq", "wk", "wv")
+            (x @ blk[w]).reshape(*batch, t, self._heads, hd).swapaxes(-3, -2) for w in ("wq", "wk", "wv")
         )
 
     def _attend(self, x: np.ndarray, blk: dict, kv: list | None = None) -> np.ndarray:
-        """Causal self-attention over the rows of ``x``; appends the layer's
-        keys and values to ``kv`` when given."""
-        t, d = x.shape
+        """Causal self-attention within each sequence of ``x`` (batch, t, d);
+        appends the layer's keys and values to ``kv`` when given."""
+        *batch, t, d = x.shape
         hd = d // self._heads
         q, k, v = self._qkv(x, blk)
         if kv is not None:
             kv.append((k, v))
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(hd)
-        mask = np.triu(np.full((t, t), -np.inf), k=1)
-        att = _softmax(scores + mask)
-        out = (att @ v).transpose(1, 0, 2).reshape(t, d)
+        att = _causal_softmax(q @ k.swapaxes(-1, -2) / np.sqrt(hd))
+        out = (att @ v).swapaxes(-3, -2).reshape(*batch, t, d)
         return out @ blk["wo"]
 
     def _attend_cached(self, x: np.ndarray, blk: dict, cache: tuple, rows: list) -> np.ndarray:
@@ -406,17 +424,24 @@ class TinyTransformer(Backend):
         if t > self._max_seq_len:
             raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
 
-    def _encode(self, prefix: Sequence[TokenId], kv: list | None = None) -> tuple[list[int], np.ndarray]:
-        """The ids of ``prefix`` and the final hidden state of each position;
-        appends every layer's keys and values to ``kv`` when given."""
+    def _ids(self, prefix: Sequence[TokenId]) -> list[int]:
+        """The ids of ``prefix``, checked against the vocabulary and max_seq_len."""
         ids = self._check_prefix(prefix)
-        t = len(ids)
-        self._check_length(t)
-        h = self._stack(
-            self._tok_emb[ids] + self._pos_emb[:t],
+        self._check_length(len(ids))
+        return ids
+
+    def _encode(self, ids: np.ndarray, kv: list | None = None) -> np.ndarray:
+        """The final hidden state of each position of each row of ``ids``, a
+        (batch, t) array of checked ids; appends every layer's keys and values,
+        each (batch, heads, t, head_dim), to ``kv`` when given.
+
+        Every sequence is computed by the same numpy calls on same-shaped
+        slices as a batch of one, so its states are bitwise the same.
+        """
+        return self._stack(
+            self._tok_emb[ids] + self._pos_emb[: ids.shape[1]],
             lambda x, layer: self._attend(x, self._blocks[layer], kv),
         )
-        return ids, h
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
@@ -425,17 +450,41 @@ class TinyTransformer(Backend):
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Encode the context once and keep every layer's keys and values."""
+        ids = self._ids(context_tokens)
         kv: list = []
-        ids, h = self._encode(context_tokens, kv)
-        return _TinySession(self, ids, list(h), kv)
+        h = self._encode(np.array([ids]), kv)[0]
+        return _TinySession(self, ids, list(h), [(k[0], v[0]) for k, v in kv])
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
-        _, h = self._encode(prefix)
+        h = self._encode(np.array([self._ids(prefix)]))[0]
         return StepOutput(
             probs=self._probs(h[-1]),
             hidden_last=h[-1],
             hidden_all=list(h) if want_all_hidden else None,
         )
+
+    def forward_candidates(
+        self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
+    ) -> list[np.ndarray]:
+        """Encode the sequences ``prefix + [c]`` as one batch and return each
+        one's last hidden state.
+
+        Bitwise equal to ``forward(prefix + [c]).hidden_last`` for each c, and
+        it raises what ``Backend.forward_candidates`` raises, in the same
+        order. The prefix is encoded once per candidate: the price of
+        equality, since a session probe over a cached prefix agrees only to
+        about 1e-12. The batch holds m times one forward's attention scores.
+        """
+        if not candidates:
+            raise ArgumentError("candidates must be non-empty")
+        self._check_tokens(candidates, "candidate")
+        self._check_tokens(prefix, "token")
+        t = len(prefix) + 1
+        self._check_length(t)
+        seqs = np.empty((len(candidates), t), dtype=np.intp)
+        seqs[:, :-1] = [int(tok) for tok in prefix]
+        seqs[:, -1] = [int(c) for c in candidates]
+        return list(self._encode(seqs)[:, -1].copy())
 
 
 class _TinySession(Session):
@@ -450,7 +499,9 @@ class _TinySession(Session):
     def __init__(self, model: TinyTransformer, tokens, hidden_all: list, kv: list):
         super().__init__(model, tokens, hidden_all)
         self._kv = kv  # per layer: (keys, values), each (heads, prefix length, head_dim)
-        self._probed: dict[int, tuple[np.ndarray, list]] = {}
+        # probed token -> (its hidden state, the probe's per-layer (keys,
+        # values) rows, its row index in them)
+        self._probed: dict[int, tuple[np.ndarray, list, int]] = {}
 
     def _next_probs(self) -> np.ndarray:
         return self._backend._probs(self.hidden_all[-1])
@@ -469,15 +520,18 @@ class _TinySession(Session):
             lambda x, layer: model._attend_cached(x, model._blocks[layer], self._kv[layer], rows),
         )
         for i, c in enumerate(ids):
-            self._probed[c] = (h[i], [(k[:, i : i + 1], v[:, i : i + 1]) for k, v in rows])
+            self._probed[c] = (h[i], rows, i)
         return [h[i] for i in range(len(ids))]
 
     def extend(self, token: TokenId) -> Session:
         if token not in self._probed:
             self.probe([token])
-        hidden, rows = self._probed[token]
+        hidden, rows, i = self._probed[token]
         kv = [
-            (np.concatenate([keys, k], axis=1), np.concatenate([values, v], axis=1))
+            (
+                np.concatenate([keys, k[:, i : i + 1]], axis=1),
+                np.concatenate([values, v[:, i : i + 1]], axis=1),
+            )
             for (keys, values), (k, v) in zip(self._kv, rows)
         ]
         return _TinySession(self._backend, self.tokens + [int(token)], self.hidden_all + [hidden], kv)
@@ -491,12 +545,21 @@ class RemoteBackend(Backend):
     "logits" instead of "probs"; logits are normalized client-side with a
     softmax. The client keeps one requests.Session, which requests does not
     document as thread-safe: use one RemoteBackend per thread.
+
+    The proxy, CA bundle and .netrc settings for the endpoint are read from
+    the environment once, here, not on every request.
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
         self._session = requests.Session()
+        env = self._session.merge_environment_settings(self._url, {}, None, None, None)
+        self._session.proxies = env["proxies"]
+        self._session.verify = env["verify"]
+        self._session.cert = env["cert"]
+        self._session.auth = requests.utils.get_netrc_auth(self._url)
+        self._session.trust_env = False
         doc = self._request("GET", "/info")
         try:
             self._info = BackendInfo(

@@ -30,7 +30,7 @@ class DimensionError(DecodingError, ValueError):
 
 
 class DegenerateVectorError(DecodingError, ValueError):
-    """A vector with near-zero norm reached a cosine computation."""
+    """A vector with a near-zero or non-finite norm reached a cosine computation."""
 
 
 class VocabError(DecodingError, ValueError):

@@ -38,7 +38,9 @@ def cosine(a, b):
 
     Each side is one vector or a matrix of row vectors: two vectors give a
     float, a vector and a matrix one value per row, and two matrices the
-    (len(a) x len(b)) block of every pair.
+    (len(a) x len(b)) block of every pair. A row whose norm is at most
+    DEGENERATE_NORM or not finite (a NaN or infinite component, or an
+    overflowing norm) raises DegenerateVectorError.
     """
     va = _as_array(a)
     vb = _as_array(b)
@@ -46,8 +48,10 @@ def cosine(a, b):
         raise DimensionError(f"vector shapes differ: {va.shape} vs {vb.shape}")
     na = _norms(va)
     nb = _norms(vb)
-    if np.any(na <= DEGENERATE_NORM) or np.any(nb <= DEGENERATE_NORM):
-        raise DegenerateVectorError(f"near-zero norm ({np.min(na)}, {np.min(nb)})")
+    for norms in (na, nb):
+        # A NaN norm fails both comparisons.
+        if not np.all((norms > DEGENERATE_NORM) & (norms < np.inf)):
+            raise DegenerateVectorError(f"norm near zero or not finite: {np.min(norms)}")
     sims = (va @ vb.T) / np.multiply.outer(na, nb)
     # fmax/fmin map NaN to -1.0, as the built-in max/min always did.
     return _unwrap(np.fmin(1.0, np.fmax(-1.0, sims)))

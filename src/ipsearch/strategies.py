@@ -70,8 +70,15 @@ def topk_set(probs, k: int) -> list[TokenId]:
     v = _as_probs(probs)
     if not isinstance(k, int) or not 1 <= k <= v.shape[0]:
         raise RangeError("k", f"must be an integer in [1, {v.shape[0]}], got {k!r}")
+    neg = -v
+    # The ids at or above the k-th largest value, in id order, hold the
+    # answer without sorting the others. A NaN k-th value (fewer than k
+    # non-NaN entries) selects none, so every id is sorted.
+    top = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    if len(top) < k:
+        top = np.arange(len(v))
     # The stable sort keeps tied ids in ascending order.
-    return np.argsort(-v, kind="stable")[:k].tolist()
+    return top[np.argsort(neg[top], kind="stable")][:k].tolist()
 
 
 def nucleus_set(probs, p: float) -> list[TokenId]:
@@ -212,12 +219,13 @@ def _sample_token(rule: str, probs: np.ndarray, cfg: StrategyConfig, rng: Rng) -
 
 
 def _ips_scores(
-    generated: list[np.ndarray], utterance_reps: list[np.ndarray], cfg: StrategyConfig,
+    generated: np.ndarray, utterance_reps: np.ndarray, cfg: StrategyConfig,
     probs: np.ndarray, hiddens: list[np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """Proximal and isotropic values and the IPS score of every candidate row."""
+    """Proximal and isotropic values and the IPS score of every candidate row,
+    given the generated tokens' and the utterances' hidden states as rows."""
     p_val = proximal_value(hiddens, generated)
-    if cfg.strict_isotropy and generated:
+    if cfg.strict_isotropy and len(generated):
         # Strict isotropy reads the tokens generated so far only, so it is the
         # same for every candidate.
         i_val = np.full(len(hiddens), isotropic_value(response_representation(generated), utterance_reps))
@@ -227,7 +235,7 @@ def _ips_scores(
 
 
 def _contrastive_scores(
-    prefix_hiddens: list[np.ndarray], alpha: float, probs: np.ndarray, hiddens: list[np.ndarray]
+    prefix_hiddens: np.ndarray, alpha: float, probs: np.ndarray, hiddens: list[np.ndarray]
 ) -> dict[str, np.ndarray]:
     """Confidence minus max similarity to any prefix token (context and
     generated alike), for every candidate row."""
@@ -299,24 +307,29 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
     rng = Rng(cfg.seed)
     records: list[StepRecord] = []
     generated: list[int] = []
-    generated_hiddens: list[np.ndarray] = []
     stop_reason = "max_len"
+    # The hidden states candidates are compared with, one row each: the
+    # context's, then each generated token's, written as it is chosen.
+    # Contrastive search reads all of them, IPS the generated ones.
+    c = len(context_hidden)
+    rows = np.empty((c + cfg.max_new_tokens, info.hidden_dim))
+    rows[:c] = context_hidden
+    utterance_rows = rows[list(enc.eou_positions)]
 
     while True:
+        n = c + len(generated)
         if cfg.strategy == "contrastive":
-            score = partial(_contrastive_scores, list(context_hidden) + generated_hiddens, cfg.alpha)
-            record, hidden = _search_step(session, cfg.m, score)
-            generated_hiddens.append(hidden)
+            score = partial(_contrastive_scores, rows[:n], cfg.alpha)
+            record, rows[n] = _search_step(session, cfg.m, score)
         elif cfg.strategy == "ips" and len(generated) >= cfg.bootstrap_n:
-            score = partial(_ips_scores, generated_hiddens, utterance_reps, cfg)
-            record, hidden = _search_step(session, cfg.m, score)
-            generated_hiddens.append(hidden)
+            score = partial(_ips_scores, rows[c:n], utterance_rows, cfg)
+            record, rows[n] = _search_step(session, cfg.m, score)
         else:
             probs = session.probs
             token = _sample_token(rule, probs, cfg, rng)
             record = StepRecord(token=token, prob=float(probs[token]))
             if cfg.strategy == "ips":
-                generated_hiddens.append(session.probe([token])[0])
+                rows[n] = session.probe([token])[0]
 
         generated.append(record.token)
         records.append(record)

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipsearch import (
     ArgumentError,
+    Backend,
     BackendInfo,
     MissingEntryError,
     ScriptedBackend,
@@ -14,6 +17,7 @@ from ipsearch import (
     ValidationError,
     VocabError,
 )
+from ipsearch.backend import _causal_softmax, _layer_norm, _softmax
 
 from conftest import TINY_ARGS, random_scripted
 
@@ -162,3 +166,81 @@ class TestForwardCandidates:
         got = backend.forward_candidates(prefix, [0, 1, 3])
         for h, cand in zip(got, [0, 1, 3]):
             np.testing.assert_allclose(h, backend.forward(prefix + [cand]).hidden_last, atol=1e-6)
+
+
+def _outcome(call):
+    """What a call gives: its outputs' bytes, or its error's type and message."""
+    try:
+        return [h.tobytes() for h in call()]
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+class TestBatchedEncoder:
+    """The batched kernels are bitwise the formulas and passes they replace."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 300),  # crosses numpy's 8- and 128-element pairwise-sum blocks
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_layer_norm_is_the_mean_var_formula(self, seed, rows, cols, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.normal(rng.normal(), scale, size=(rows, cols))
+        g, b = rng.normal(size=cols), rng.normal(size=cols)
+        eps = 1e-5
+        old = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + eps) * g + b
+        assert np.array_equal(_layer_norm(x, g, b, eps), old)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        t=st.integers(1, 40),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_causal_softmax_is_the_masked_softmax(self, seed, lead, t, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scores = rng.normal(0.0, scale, size=(*lead, t, t))
+        masked = _softmax(scores + np.triu(np.full((t, t), -np.inf), k=1))
+        assert np.array_equal(_causal_softmax(scores), masked)
+
+    @given(
+        seed=st.integers(0, 1000),
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 4),
+        head_dim=st.integers(1, 8),
+        vocab=st.integers(2, 200),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_forward_candidates_is_bitwise_one_forward_each(self, seed, layers, heads, head_dim, vocab, data):
+        model = TinyTransformer(seed, vocab, heads * head_dim, layers, heads, max_seq_len=141)
+        token = st.integers(0, vocab - 1)
+        prefix = data.draw(st.lists(token, max_size=140))
+        candidates = data.draw(st.lists(token, min_size=1, max_size=8))
+        got = model.forward_candidates(prefix, candidates)
+        assert len(got) == len(candidates)
+        for h, c in zip(got, candidates):
+            assert np.array_equal(h, model.forward(prefix + [c]).hidden_last)
+
+    @pytest.mark.parametrize(
+        "prefix, candidates",
+        [
+            ([2], []),  # empty candidates
+            ([2], [5, 64]),  # out-of-vocabulary candidate
+            ([2], [5, 2.5]),  # non-integer candidate
+            ([], [5, 7]),  # empty prefix: each sequence is the candidate alone
+            ([2, 64], [5]),  # bad prefix token
+            ([2, 70], [99]),  # bad prefix token and bad candidate
+            ([1] * 8, [5]),  # prefix at max_seq_len
+            ([64] + [1] * 8, [5]),  # bad token in a too-long prefix
+            ([1] * 7, [5, 6]),  # one below max_seq_len: fits
+        ],
+    )
+    def test_forward_candidates_error_parity(self, prefix, candidates):
+        model = TinyTransformer(**TINY_ARGS, max_seq_len=8)
+        batched = _outcome(lambda: model.forward_candidates(prefix, candidates))
+        assert batched == _outcome(lambda: Backend.forward_candidates(model, prefix, candidates))

@@ -120,6 +120,33 @@ def test_garbage_body_rejected(wrapped):
             remote.forward([1])
 
 
+@pytest.fixture
+def proxy_env(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    # A proxy on a port nothing listens on: a request sent through it fails.
+    monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+    return monkeypatch
+
+
+def test_proxy_environment_honoured(wrapped, proxy_env):
+    with BackendHTTPServer(wrapped) as server:
+        with pytest.raises(ProtocolError):
+            RemoteBackend(server.url)
+        proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        assert RemoteBackend(server.url).info == wrapped.info
+
+
+def test_environment_read_at_construction(wrapped, proxy_env):
+    proxy_env.setenv("NO_PROXY", "127.0.0.1")
+    with BackendHTTPServer(wrapped) as server:
+        remote = RemoteBackend(server.url)
+        proxy_env.delenv("NO_PROXY")
+        got = remote.forward([1, 2])
+        np.testing.assert_allclose(got.probs, wrapped.forward([1, 2]).probs, atol=1e-12)
+
+
 def test_unreachable_endpoint_fails_at_startup():
     with pytest.raises(ProtocolError):
         RemoteBackend("http://127.0.0.1:1")

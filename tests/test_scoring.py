@@ -196,6 +196,13 @@ ERROR_CONTRACT = {
     "isotropic-zero-rep": (lambda: isotropic_value([0, 0], [[1, 0]]), DegenerateVectorError),
     "penalty-zero-candidate": (lambda: degeneration_penalty([0, 0], [[1, 0]]), DegenerateVectorError),
     "heatmap-zero-row": (lambda: similarity_heatmap([[1, 0], [0, 0]]), DegenerateVectorError),
+    "cosine-nan-component": (lambda: cosine([np.nan, 1.0], [1.0, 0.0]), DegenerateVectorError),
+    "cosine-inf-component": (lambda: cosine([np.inf, 1.0], [1.0, 0.0]), DegenerateVectorError),
+    "cosine-nan-in-second": (lambda: cosine([1.0, 0.0], [1.0, np.nan]), DegenerateVectorError),
+    "proximal-nan-candidate-row": (
+        lambda: proximal_value([[1, 0], [np.nan, 1]], [[1, 1]]), DegenerateVectorError
+    ),
+    "penalty-inf-prefix-row": (lambda: degeneration_penalty([1, 0], [[1, 1], [-np.inf, 0]]), DegenerateVectorError),
     "isotropic-no-utterances": (lambda: isotropic_value([1, 0], []), ArgumentError),
     "penalty-no-prefix": (lambda: degeneration_penalty([1, 0], []), ArgumentError),
     "representation-of-nothing": (lambda: response_representation([]), ArgumentError),
