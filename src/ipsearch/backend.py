@@ -63,33 +63,38 @@ class StepOutput:
     hidden_all: Optional[list[np.ndarray]] = None
 
 
-def _validate_step_output(out: StepOutput, info: BackendInfo, prefix_len: int | None) -> None:
-    probs = np.asarray(out.probs, dtype=float)
-    if probs.shape != (info.vocab_size,):
-        raise ValidationError(f"probs must have length {info.vocab_size}, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)):
-        raise ValidationError("probs contains non-finite values")
+def _array(x, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
+    """``x`` as a float array of ``shape`` with finite entries; raises ``error``
+    naming the field when it is not numeric, ragged, misshapen or non-finite."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} is not a numeric array of shape {shape}") from exc
+    if a.shape != shape:
+        raise error(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a)):
+        raise error(f"{name} of shape {shape} contains non-finite values")
+    return a
+
+
+def _checked_output(
+    out: StepOutput, info: BackendInfo, prefix_len: int, error: type[Exception]
+) -> StepOutput:
+    """``out`` as checked float arrays: ``probs`` a distribution over the
+    vocabulary, ``hidden_last`` one hidden state and ``hidden_all``, when
+    present, one row per prefix position. Raises ``error`` otherwise."""
+    v, d = info.vocab_size, info.hidden_dim
+    probs = _array(out.probs, (v,), "probs", error)
     if np.any(probs < 0):
-        raise ValidationError("probs contains negative values")
+        raise error("probs contains negative values")
     total = float(probs.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(f"probs sums to {total}, expected 1 within {PROB_SUM_TOL}")
-    hl = np.asarray(out.hidden_last, dtype=float)
-    if hl.shape != (info.hidden_dim,):
-        raise ValidationError(f"hidden_last must have length {info.hidden_dim}, got shape {hl.shape}")
-    if not np.all(np.isfinite(hl)):
-        raise ValidationError("hidden_last contains non-finite values")
-    if out.hidden_all is not None:
-        if prefix_len is not None and len(out.hidden_all) != prefix_len:
-            raise ValidationError(
-                f"hidden_all has {len(out.hidden_all)} vectors for a prefix of length {prefix_len}"
-            )
-        for i, h in enumerate(out.hidden_all):
-            hv = np.asarray(h, dtype=float)
-            if hv.shape != (info.hidden_dim,):
-                raise ValidationError(f"hidden_all[{i}] must have length {info.hidden_dim}")
-            if not np.all(np.isfinite(hv)):
-                raise ValidationError(f"hidden_all[{i}] contains non-finite values")
+        raise error(f"probs sums to {total}, expected 1 within {PROB_SUM_TOL}")
+    hidden_last = _array(out.hidden_last, (d,), "hidden_last", error)
+    if out.hidden_all is None:
+        return StepOutput(probs, hidden_last)
+    hidden_all = _array(out.hidden_all, (prefix_len, d), "hidden_all", error)
+    return StepOutput(probs, hidden_last, list(hidden_all))
 
 
 class Session:
@@ -167,11 +172,8 @@ class Backend(ABC):
         Element i equals forward(prefix + [candidates[i]]).hidden_last;
         implementations may batch but must match that definition.
         """
-        if not candidates:
-            raise ArgumentError("candidates must be non-empty")
-        self._check_tokens(candidates, "candidate")
-        base = list(prefix)
-        return [self.forward(base + [int(c)], False).hidden_last for c in candidates]
+        ids, cands = self._check_candidates(prefix, candidates)
+        return [self.forward(ids + [c]).hidden_last for c in cands]
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Start decoding after ``context_tokens``.
@@ -186,15 +188,27 @@ class Backend(ABC):
     def _check_prefix(self, prefix: Sequence[TokenId]) -> list[int]:
         if len(prefix) == 0:
             raise ArgumentError("prefix must be non-empty")
-        self._check_tokens(prefix, "token")
-        return [int(t) for t in prefix]
+        return self._check_tokens(prefix, "token")
 
-    def _check_tokens(self, tokens: Iterable, kind: str) -> None:
+    def _check_candidates(
+        self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
+    ) -> tuple[list[int], list[int]]:
+        """The ids of ``prefix`` and of ``candidates``, checked in this order:
+        candidates non-empty, candidate ids, prefix ids. The prefix may be empty."""
+        if not candidates:
+            raise ArgumentError("candidates must be non-empty")
+        cands = self._check_tokens(candidates, "candidate")
+        return self._check_tokens(prefix, "token"), cands
+
+    def _check_tokens(self, tokens: Iterable, kind: str) -> list[int]:
         v = self.info.vocab_size
+        ids = []
         for t in tokens:
             ti = int(t)
             if ti != t or not 0 <= ti < v:
                 raise VocabError(f"{kind} id {t!r} outside vocabulary of size {v}")
+            ids.append(ti)
+        return ids
 
 
 class ScriptedBackend(Backend):
@@ -213,14 +227,7 @@ class ScriptedBackend(Backend):
                 raise ValidationError("table contains an empty prefix")
             if any(not 0 <= t < info.vocab_size for t in key):
                 raise ValidationError(f"table prefix {list(key)} contains out-of-vocabulary ids")
-            _validate_step_output(out, info, len(key))
-            self._table[key] = StepOutput(
-                probs=np.asarray(out.probs, dtype=float),
-                hidden_last=np.asarray(out.hidden_last, dtype=float),
-                hidden_all=None
-                if out.hidden_all is None
-                else [np.asarray(h, dtype=float) for h in out.hidden_all],
-            )
+            self._table[key] = _checked_output(out, info, len(key), ValidationError)
 
     @property
     def info(self) -> BackendInfo:
@@ -260,11 +267,7 @@ def load_scripted(path: str | Path) -> ScriptedBackend:
         table = {}
         for entry in doc["table"]:
             table[tuple(entry["prefix"])] = StepOutput(
-                probs=np.asarray(entry["probs"], dtype=float),
-                hidden_last=np.asarray(entry["hidden_last"], dtype=float),
-                hidden_all=None
-                if "hidden_all" not in entry
-                else [np.asarray(h, dtype=float) for h in entry["hidden_all"]],
+                entry["probs"], entry["hidden_last"], entry.get("hidden_all")
             )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"scripted backend file is missing fields: {exc}") from exc
@@ -475,15 +478,12 @@ class TinyTransformer(Backend):
         equality, since a session probe over a cached prefix agrees only to
         about 1e-12. The batch holds m times one forward's attention scores.
         """
-        if not candidates:
-            raise ArgumentError("candidates must be non-empty")
-        self._check_tokens(candidates, "candidate")
-        self._check_tokens(prefix, "token")
-        t = len(prefix) + 1
+        ids, cands = self._check_candidates(prefix, candidates)
+        t = len(ids) + 1
         self._check_length(t)
-        seqs = np.empty((len(candidates), t), dtype=np.intp)
-        seqs[:, :-1] = [int(tok) for tok in prefix]
-        seqs[:, -1] = [int(c) for c in candidates]
+        seqs = np.empty((len(cands), t), dtype=np.intp)
+        seqs[:, :-1] = ids
+        seqs[:, -1] = cands
         return list(self._encode(seqs)[:, -1].copy())
 
 
@@ -508,12 +508,10 @@ class _TinySession(Session):
 
     def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
         model = self._backend
-        if not candidates:
-            raise ArgumentError("candidates must be non-empty")
-        model._check_tokens(candidates, "candidate")
+        # The session's own tokens were checked when it was opened.
+        _, ids = model._check_candidates([], candidates)
         t = len(self.tokens)
         model._check_length(t + 1)
-        ids = [int(c) for c in candidates]
         rows: list = []
         h = model._stack(
             model._tok_emb[ids] + model._pos_emb[t],
@@ -535,6 +533,12 @@ class _TinySession(Session):
             for (keys, values), (k, v) in zip(self._kv, rows)
         ]
         return _TinySession(self._backend, self.tokens + [int(token)], self.hidden_all + [hidden], kv)
+
+
+def _field(doc: dict, key: str):
+    if key not in doc:
+        raise ProtocolError(f"response missing field {key!r}")
+    return doc[key]
 
 
 class RemoteBackend(Backend):
@@ -592,33 +596,6 @@ class RemoteBackend(Backend):
             raise ProtocolError(f"{method} {url} returned a non-object body")
         return doc
 
-    def _vector(self, doc: dict, key: str, length: int) -> np.ndarray:
-        if key not in doc:
-            raise ProtocolError(f"response missing field {key!r}")
-        try:
-            v = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"field {key!r} is not a numeric vector") from exc
-        if v.shape != (length,):
-            raise ProtocolError(f"field {key!r} has shape {v.shape}, expected ({length},)")
-        if not np.all(np.isfinite(v)):
-            raise ProtocolError(f"field {key!r} contains non-finite values")
-        return v
-
-    def _parse_probs(self, doc: dict) -> np.ndarray:
-        v = self._info.vocab_size
-        if "probs" in doc:
-            probs = self._vector(doc, "probs", v)
-            if np.any(probs < 0):
-                raise ProtocolError("probs contains negative values")
-            total = float(probs.sum())
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise ProtocolError(f"probs sums to {total}, expected 1 within {PROB_SUM_TOL}")
-            return probs
-        if "logits" in doc:
-            return _softmax(self._vector(doc, "logits", v))
-        raise ProtocolError("response has neither 'probs' nor 'logits'")
-
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
         ids = self._check_prefix(prefix)
         doc = self._request(
@@ -626,37 +603,21 @@ class RemoteBackend(Backend):
             "/forward",
             {"tokens": ids, "return_hidden": "all" if want_all_hidden else "last"},
         )
-        d = self._info.hidden_dim
-        probs = self._parse_probs(doc)
-        hidden_last = self._vector(doc, "hidden_last", d)
-        hidden_all = None
-        if want_all_hidden:
-            if "hidden_all" not in doc or not isinstance(doc["hidden_all"], list):
-                raise ProtocolError("response missing field 'hidden_all'")
-            if len(doc["hidden_all"]) != len(ids):
-                raise ProtocolError(
-                    f"hidden_all has {len(doc['hidden_all'])} vectors for {len(ids)} tokens"
-                )
-            hidden_all = [self._vector({"h": row}, "h", d) for row in doc["hidden_all"]]
-        return StepOutput(probs=probs, hidden_last=hidden_last, hidden_all=hidden_all)
+        if "probs" in doc:
+            probs = doc["probs"]
+        elif "logits" in doc:
+            probs = _softmax(_array(doc["logits"], (self._info.vocab_size,), "logits", ProtocolError))
+        else:
+            raise ProtocolError("response has neither 'probs' nor 'logits'")
+        hidden_all = _field(doc, "hidden_all") if want_all_hidden else None
+        out = StepOutput(probs, _field(doc, "hidden_last"), hidden_all)
+        return _checked_output(out, self._info, len(ids), ProtocolError)
 
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
     ) -> list[np.ndarray]:
-        if not candidates:
-            raise ArgumentError("candidates must be non-empty")
-        ids = self._check_prefix(prefix)
-        self._check_tokens(candidates, "candidate")
-        doc = self._request(
-            "POST",
-            "/forward_batch",
-            {"prefix": ids, "candidates": [int(c) for c in candidates]},
-        )
-        if "hidden" not in doc or not isinstance(doc["hidden"], list):
-            raise ProtocolError("response missing field 'hidden'")
-        if len(doc["hidden"]) != len(candidates):
-            raise ProtocolError(
-                f"hidden has {len(doc['hidden'])} vectors for {len(candidates)} candidates"
-            )
-        d = self._info.hidden_dim
-        return [self._vector({"h": row}, "h", d) for row in doc["hidden"]]
+        ids, cands = self._check_candidates(prefix, candidates)
+        doc = self._request("POST", "/forward_batch", {"prefix": ids, "candidates": cands})
+        shape = (len(cands), self._info.hidden_dim)
+        return list(_array(_field(doc, "hidden"), shape, "hidden", ProtocolError))
+

@@ -190,6 +190,5 @@ class GenerationResult:
     per_step: list[StepRecord]
     stop_reason: str  # "eou" | "max_len"
     elapsed: float
-    text: Optional[str] = None
     utterance_reps: Optional[list[np.ndarray]] = None
     session: Optional[Session] = None

@@ -1,0 +1,168 @@
+"""One backend contract: scripted tables and remote responses are checked by
+the same rules, and every backend checks candidate arguments the same way."""
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from ipsearch import (
+    ArgumentError,
+    Backend,
+    BackendInfo,
+    ProtocolError,
+    RemoteBackend,
+    ScriptedBackend,
+    StepOutput,
+    TinyTransformer,
+    ValidationError,
+    VocabError,
+    load_scripted,
+)
+
+from wire_server import BackendHTTPServer
+
+SMALL = dict(seed=42, vocab_size=64, hidden_dim=16, layers=1, heads=2)
+
+
+def _set(field, value):
+    def edit(doc):
+        doc[field] = value(doc)
+
+    return edit
+
+
+def _set_row(index, value):
+    def edit(doc):
+        doc["hidden_all"][index] = value(doc["hidden_all"][index])
+
+    return edit
+
+
+def _shift_probs(doc):
+    p = doc["probs"]
+    doc["probs"] = [-0.1, p[0] + p[1] + 0.1] + p[2:]
+
+
+# Each case edits a valid output document {"probs", "hidden_last",
+# "hidden_all"} of any vocabulary size and hidden width; the error message
+# must name the field.
+MALFORMED = {
+    "probs-wrong-length": ("probs", _set("probs", lambda d: d["probs"][:-1])),
+    "probs-nan": ("probs", _set("probs", lambda d: [math.nan] + d["probs"][1:])),
+    "probs-negative": ("probs", _shift_probs),
+    "probs-sum-off": ("probs", _set("probs", lambda d: [d["probs"][0] + 2e-4] + d["probs"][1:])),
+    "hidden_last-wrong-length": ("hidden_last", _set("hidden_last", lambda d: d["hidden_last"] + [0.0])),
+    "hidden_all-wrong-rows": ("hidden_all", _set("hidden_all", lambda d: d["hidden_all"][:-1])),
+    "hidden_all-ragged-row": ("hidden_all", _set_row(0, lambda row: row[:-1])),
+    "hidden_all-nan": ("hidden_all", _set_row(-1, lambda row: [math.nan] + row[1:])),
+    "hidden_all-non-numeric": ("hidden_all", _set_row(0, lambda row: ["x"] + row[1:])),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    return TinyTransformer(**SMALL)
+
+
+@pytest.fixture(scope="module")
+def remote(tiny):
+    with BackendHTTPServer(tiny) as server:
+        yield RemoteBackend(server.url)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_scripted_table_rejects_malformed_output(case):
+    field, edit = MALFORMED[case]
+    info = BackendInfo(vocab_size=4, hidden_dim=2, eou_token_id=3)
+    doc = {
+        "probs": [0.7, 0.2, 0.1, 0.0],
+        "hidden_last": [0.0, 1.0],
+        "hidden_all": [[1.0, 0.0], [0.0, 1.0]],
+    }
+    ScriptedBackend(info, {(1, 2): StepOutput(**doc)})  # the unedited entry is valid
+    edit(doc)
+    with pytest.raises(ValidationError, match=field):
+        ScriptedBackend(info, {(1, 2): StepOutput(**doc)})
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_remote_response_rejects_malformed_output(tiny, case):
+    field, edit = MALFORMED[case]
+
+    def transform(path, doc):
+        if path == "/forward":
+            edit(doc)
+        return doc
+
+    with BackendHTTPServer(tiny, transform=transform) as server:
+        remote = RemoteBackend(server.url)
+        with pytest.raises(ProtocolError, match=field):
+            remote.forward([1, 2], want_all_hidden=True)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda rows: rows[:-1], lambda rows: [rows[0][:-1]] + rows[1:]],
+    ids=["too-few-rows", "ragged-row"],
+)
+def test_remote_forward_batch_rejects_malformed_hidden(tiny, edit):
+    def transform(path, doc):
+        if path == "/forward_batch":
+            doc["hidden"] = edit(doc["hidden"])
+        return doc
+
+    with BackendHTTPServer(tiny, transform=transform) as server:
+        remote = RemoteBackend(server.url)
+        with pytest.raises(ProtocolError, match="hidden"):
+            remote.forward_candidates([1, 2], [3, 4, 5])
+
+
+def test_scripted_file_with_non_numeric_entry_is_a_validation_error(tmp_path, tiny):
+    out = tiny.forward([1, 2])
+    hidden_last = ["x"] + [float(h) for h in out.hidden_last[1:]]
+    doc = {"probs": [float(p) for p in out.probs], "hidden_last": hidden_last}
+    info = {"vocab_size": 64, "hidden_dim": 16, "eou_token_id": 63}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"info": info, "table": [{"prefix": [1, 2], **doc}]}))
+    with pytest.raises(ValidationError, match="hidden_last"):
+        load_scripted(path)
+
+
+def _outcome(call):
+    """What a call gives: its rows, or its error's type and message."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _vocab(kind, token):
+    return VocabError, f"{kind} id {token!r} outside vocabulary of size 64"
+
+
+@pytest.mark.parametrize(
+    "prefix, candidates, error",
+    [
+        ([2], [], (ArgumentError, "candidates must be non-empty")),
+        ([2], [5, 64], _vocab("candidate", 64)),
+        ([2], [5, 2.5], _vocab("candidate", 2.5)),
+        ([2, 64], [5], _vocab("token", 64)),
+        ([2, 70], [99], _vocab("candidate", 99)),  # candidates are checked first
+        ([], [5, 7], None),  # empty prefix: each candidate on its own
+    ],
+)
+@pytest.mark.parametrize("kind", ["scripted", "tiny", "remote"])
+def test_candidate_arguments_agree_across_backends(tiny, remote, kind, prefix, candidates, error):
+    scripted = ScriptedBackend(tiny.info, {(c,): tiny.forward([c]) for c in (5, 7)})
+    backend = {"scripted": scripted, "tiny": tiny, "remote": remote}[kind]
+    got = _outcome(lambda: backend.forward_candidates(prefix, candidates))
+    if error is not None:
+        assert got == error
+        assert _outcome(lambda: Backend.forward_candidates(backend, prefix, candidates)) == error
+    else:
+        assert len(got) == len(candidates)
+        for g, w in zip(got, tiny.forward_candidates(prefix, candidates)):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
