@@ -77,6 +77,29 @@ def _array(x, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
     return a
 
 
+def _integer(x, name: str, error: type[Exception]) -> int:
+    """``x`` as an int; raises ``error`` naming ``name`` when it is not an
+    integer, so a float, a string or a bool is refused, not truncated."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _json_info(doc, error: type[Exception]) -> BackendInfo:
+    """The ``BackendInfo`` held in the JSON object ``doc``; raises ``error``
+    when a field is missing, not an integer or out of range."""
+    names = ("vocab_size", "hidden_dim", "eou_token_id")
+    try:
+        values = [doc[name] for name in names]
+    except KeyError as exc:
+        raise error(f"backend info lacks field {exc}") from exc
+    fields = {name: _integer(x, f"backend info {name}", error) for name, x in zip(names, values)}
+    try:
+        return BackendInfo(**fields)
+    except ValidationError as exc:
+        raise error(f"bad backend info: {exc}") from exc
+
+
 def _checked_output(
     out: StepOutput, info: BackendInfo, prefix_len: int, error: type[Exception]
 ) -> StepOutput:
@@ -222,7 +245,7 @@ class ScriptedBackend(Backend):
         self._info = info
         self._table: dict[tuple[int, ...], StepOutput] = {}
         for prefix, out in table.items():
-            key = tuple(int(t) for t in prefix)
+            key = tuple(_integer(t, "table prefix id", ValidationError) for t in prefix)
             if not key:
                 raise ValidationError("table contains an empty prefix")
             if any(not 0 <= t < info.vocab_size for t in key):
@@ -259,11 +282,7 @@ def load_scripted(path: str | Path) -> ScriptedBackend:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"scripted backend file is not valid JSON: {exc}") from exc
     try:
-        info = BackendInfo(
-            vocab_size=int(doc["info"]["vocab_size"]),
-            hidden_dim=int(doc["info"]["hidden_dim"]),
-            eou_token_id=int(doc["info"]["eou_token_id"]),
-        )
+        info = _json_info(doc["info"], ValidationError)
         table = {}
         for entry in doc["table"]:
             table[tuple(entry["prefix"])] = StepOutput(
@@ -281,7 +300,10 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float =
     n = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
-    return centred / np.sqrt(var + eps) * gamma + beta
+    centred /= np.sqrt(var + eps)
+    centred *= gamma
+    centred += beta
+    return centred
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -294,19 +316,40 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax of each row of the trailing (t, t) blocks of ``scores`` over the
     columns at or before the row; later columns get exactly 0.0.
 
+    Works in place: ``scores`` is overwritten and returned, so the caller
+    must own it and not read it afterwards.
+
     Bitwise ``_softmax(scores + mask)`` with -inf above the diagonal: the
     masked entries are never exponentiated (exp(-inf) is numpy's slow path)
-    and keep the 0.0 it would give.
+    and are set to the 0.0 it would give.
     """
     t = scores.shape[-1]
     causal = np.tri(t, dtype=bool)
-    z = scores - np.max(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf)
-    e = np.exp(z, where=causal, out=np.zeros_like(z))
-    return e / e.sum(axis=-1, keepdims=True)
+    z = np.subtract(
+        scores, np.max(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf), out=scores
+    )
+    np.exp(z, where=causal, out=z)
+    # The masked entries still hold their finite differences.
+    np.copyto(z, 0.0, where=~causal)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+    # 0.5 * x * (1.0 + tanh(sqrt(2 / pi) * (x + 0.044715 * (x * x * x)))), one
+    # operation at a time into two arrays. Each step is the formula's IEEE
+    # multiplication or addition, at most with its operands swapped, so the
+    # result is bitwise the formula's.
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= np.sqrt(2.0 / np.pi)
+    np.tanh(t, out=t)
+    t += 1.0
+    h = 0.5 * x
+    h *= t
+    return h
 
 
 class TinyTransformer(Backend):
@@ -373,6 +416,12 @@ class TinyTransformer(Backend):
             )
         self._lnf_g = np.ones(d)
         self._lnf_b = np.zeros(d)
+        # Read-only, so a kernel that writes into a weight raises.
+        for w in (self._tok_emb, self._pos_emb, self._lnf_g, self._lnf_b):
+            w.setflags(write=False)
+        for blk in self._blocks:
+            for w in blk.values():
+                w.setflags(write=False)
 
     @property
     def info(self) -> BackendInfo:
@@ -395,7 +444,9 @@ class TinyTransformer(Backend):
         q, k, v = self._qkv(x, blk)
         if kv is not None:
             kv.append((k, v))
-        att = _causal_softmax(q @ k.swapaxes(-1, -2) / np.sqrt(hd))
+        scores = q @ k.swapaxes(-1, -2)
+        scores /= np.sqrt(hd)
+        att = _causal_softmax(scores)
         out = (att @ v).swapaxes(-3, -2).reshape(*batch, t, d)
         return out @ blk["wo"]
 
@@ -419,8 +470,10 @@ class TinyTransformer(Backend):
         as each block's attention."""
         for layer, blk in enumerate(self._blocks):
             x = x + attend(_layer_norm(x, blk["ln1_g"], blk["ln1_b"]), layer)
-            y = _layer_norm(x, blk["ln2_g"], blk["ln2_b"])
-            x = x + _gelu(y @ blk["w1"] + blk["b1"]) @ blk["w2"] + blk["b2"]
+            h = _layer_norm(x, blk["ln2_g"], blk["ln2_b"]) @ blk["w1"]
+            h += blk["b1"]
+            x = x + _gelu(h) @ blk["w2"]
+            x += blk["b2"]
         return _layer_norm(x, self._lnf_g, self._lnf_b)
 
     def _check_length(self, t: int) -> None:
@@ -564,15 +617,7 @@ class RemoteBackend(Backend):
         self._session.cert = env["cert"]
         self._session.auth = requests.utils.get_netrc_auth(self._url)
         self._session.trust_env = False
-        doc = self._request("GET", "/info")
-        try:
-            self._info = BackendInfo(
-                vocab_size=int(doc["vocab_size"]),
-                hidden_dim=int(doc["hidden_dim"]),
-                eou_token_id=int(doc["eou_token_id"]),
-            )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
-            raise ProtocolError(f"bad /info response: {exc}") from exc
+        self._info = _json_info(self._request("GET", "/info"), ProtocolError)
 
     @property
     def info(self) -> BackendInfo:

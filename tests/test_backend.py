@@ -17,7 +17,7 @@ from ipsearch import (
     ValidationError,
     VocabError,
 )
-from ipsearch.backend import _causal_softmax, _layer_norm, _softmax
+from ipsearch.backend import _causal_softmax, _gelu, _layer_norm, _softmax
 
 from conftest import TINY_ARGS, random_scripted
 
@@ -96,6 +96,14 @@ class TestScriptedBackend:
         with pytest.raises(ArgumentError):
             backend.forward([])
 
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "a", True, None])
+    def test_non_integer_prefix_id_rejected(self, bad):
+        # A float must not be truncated into another prefix's key.
+        out = self.table()[(1,)]
+        with pytest.raises(ValidationError, match="prefix id"):
+            ScriptedBackend(small_info(), {(bad,): out})
+        assert list(ScriptedBackend(small_info(), {(np.int64(1),): out})._table) == [(1,)]
+
 
 class TestTinyTransformer:
     def test_heads_must_divide_hidden_dim(self):
@@ -130,6 +138,15 @@ class TestTinyTransformer:
     def test_vocab_error(self, tiny_backend):
         with pytest.raises(VocabError):
             tiny_backend.forward([64 + 5])
+
+    def test_weights_are_read_only(self, tiny_backend):
+        m = tiny_backend
+        weights = [m._tok_emb, m._pos_emb, m._lnf_g, m._lnf_b]
+        weights += [w for blk in m._blocks for w in blk.values()]
+        assert len(weights) == 4 + 12 * TINY_ARGS["layers"]
+        for w in weights:
+            with pytest.raises(ValueError, match="read-only"):
+                w += 0.0
 
     def test_eou_convention_is_last_id(self, tiny_backend):
         assert tiny_backend.info.eou_token_id == 63
@@ -206,6 +223,34 @@ class TestBatchedEncoder:
         scores = rng.normal(0.0, scale, size=(*lead, t, t))
         masked = _softmax(scores + np.triu(np.full((t, t), -np.inf), k=1))
         assert np.array_equal(_causal_softmax(scores), masked)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lead=st.lists(st.integers(1, 2), max_size=1),
+        t=st.integers(120, 170),  # row sums cross numpy's 128-element pairwise-sum block
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_causal_softmax_is_the_masked_softmax_on_long_rows(self, seed, lead, t, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        scores = rng.normal(0.0, scale, size=(*lead, t, t))
+        masked = _softmax(scores + np.triu(np.full((t, t), -np.inf), k=1))
+        assert np.array_equal(_causal_softmax(scores), masked)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 300),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_gelu_is_the_tanh_formula(self, seed, rows, cols, scale):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.normal(0.0, scale, size=(rows, cols))
+        before = x.copy()
+        old = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * (x * x * x))))
+        assert np.array_equal(_gelu(x), old)
+        assert np.array_equal(x, before)
 
     @given(
         seed=st.integers(0, 1000),

@@ -131,6 +131,50 @@ def test_scripted_file_with_non_numeric_entry_is_a_validation_error(tmp_path, ti
         load_scripted(path)
 
 
+# A backend info field that is not a JSON integer is refused, not truncated.
+BAD_INFO = {
+    "float": ("vocab_size", 64.9),
+    "string": ("hidden_dim", "16"),
+    "bool": ("eou_token_id", True),
+    "null": ("vocab_size", None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INFO))
+def test_remote_info_must_hold_integers(tiny, case):
+    field, value = BAD_INFO[case]
+
+    def transform(path, doc):
+        if path == "/info":
+            doc[field] = value
+        return doc
+
+    with BackendHTTPServer(tiny, transform=transform) as server:
+        with pytest.raises(ProtocolError, match=field):
+            RemoteBackend(server.url)
+
+
+@pytest.mark.parametrize("case", list(BAD_INFO))
+def test_scripted_file_info_must_hold_integers(tmp_path, tiny, case):
+    field, value = BAD_INFO[case]
+    out = tiny.forward([1, 2])
+    entry = {
+        "prefix": [1, 2],
+        "probs": [float(p) for p in out.probs],
+        "hidden_last": [float(h) for h in out.hidden_last],
+    }
+    info = {"vocab_size": 64, "hidden_dim": 16, "eou_token_id": 63}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"info": info, "table": [entry]}))
+    load_scripted(path)  # the unedited file is valid
+    path.write_text(json.dumps({"info": {**info, field: value}, "table": [entry]}))
+    with pytest.raises(ValidationError, match=field):
+        load_scripted(path)
+    path.write_text(json.dumps({"info": info, "table": [{**entry, "prefix": [1, value]}]}))
+    with pytest.raises(ValidationError, match="prefix id"):
+        load_scripted(path)
+
+
 def _outcome(call):
     """What a call gives: its rows, or its error's type and message."""
     try:

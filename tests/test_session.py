@@ -66,6 +66,29 @@ def test_probe_rejects_bad_candidates(tiny_backend):
         session.extend(64)
 
 
+def test_sibling_calls_leave_a_session_unchanged(tiny_backend):
+    # The kernels write in place, so guard the arrays a session shares with
+    # its siblings and with the batches that read them.
+    prefix = list(range(1, 40))
+    session = tiny_backend.open(prefix)
+    longer = session.extend(5)
+
+    def snapshot(s):
+        return (
+            [h.tobytes() for h in s.hidden_all],
+            s.probs.tobytes(),
+            [(keys.tobytes(), values.tobytes()) for keys, values in s._kv],
+        )
+
+    before = [snapshot(s) for s in (session, longer)]
+    session.probe([3, 7, 9])
+    session.extend(7).probe([1, 2])
+    longer.extend(2).extend(4)
+    tiny_backend.forward(prefix + [3], want_all_hidden=True)
+    tiny_backend.forward_candidates(prefix, [3, 7])
+    assert [snapshot(s) for s in (session, longer)] == before
+
+
 def test_length_errors_match_forward():
     model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
     with pytest.raises(ArgumentError) as scratch:
