@@ -10,11 +10,16 @@ pass that includes the candidate itself.
 """
 from __future__ import annotations
 
+import base64
+import http.client
 import json
+import os
+import ssl
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
+from urllib.parse import urlsplit
 
 import numpy as np
 import requests
@@ -40,6 +45,8 @@ class BackendInfo:
     eou_token_id: TokenId
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden_dim", "eou_token_id"):
+            _integer(getattr(self, name), name)
         if self.vocab_size < 2:
             raise ValidationError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.hidden_dim < 1:
@@ -77,25 +84,21 @@ def _array(x, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
     return a
 
 
-def _integer(x, name: str, error: type[Exception]) -> int:
-    """``x`` as an int; raises ``error`` naming ``name`` when it is not an
-    integer, so a float, a string or a bool is refused, not truncated."""
+def _integer(x, name: str) -> int:
+    """``x`` as an int; raises ``ValidationError`` naming ``name`` when it is
+    not an integer, so a float, a string or a bool is refused, not truncated."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {x!r}")
+        raise ValidationError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
 
 def _json_info(doc, error: type[Exception]) -> BackendInfo:
     """The ``BackendInfo`` held in the JSON object ``doc``; raises ``error``
     when a field is missing, not an integer or out of range."""
-    names = ("vocab_size", "hidden_dim", "eou_token_id")
     try:
-        values = [doc[name] for name in names]
+        return BackendInfo(**{name: doc[name] for name in ("vocab_size", "hidden_dim", "eou_token_id")})
     except KeyError as exc:
         raise error(f"backend info lacks field {exc}") from exc
-    fields = {name: _integer(x, f"backend info {name}", error) for name, x in zip(names, values)}
-    try:
-        return BackendInfo(**fields)
     except ValidationError as exc:
         raise error(f"bad backend info: {exc}") from exc
 
@@ -245,7 +248,7 @@ class ScriptedBackend(Backend):
         self._info = info
         self._table: dict[tuple[int, ...], StepOutput] = {}
         for prefix, out in table.items():
-            key = tuple(_integer(t, "table prefix id", ValidationError) for t in prefix)
+            key = tuple(_integer(t, "table prefix id") for t in prefix)
             if not key:
                 raise ValidationError("table contains an empty prefix")
             if any(not 0 <= t < info.vocab_size for t in key):
@@ -594,47 +597,144 @@ def _field(doc: dict, key: str):
     return doc[key]
 
 
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin1")).decode("ascii")
+
+
+def _ssl_context(verify, cert) -> ssl.SSLContext:
+    """The TLS settings requests would apply: ``verify`` is False, True (requests'
+    CA bundle) or the path of a CA file or directory; ``cert`` is None, a
+    combined certificate and key file, or a (certificate, key) pair."""
+    if verify is False:
+        context = ssl.create_default_context()
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+    else:
+        ca = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+        context = ssl.create_default_context(**{"capath" if os.path.isdir(ca) else "cafile": ca})
+    if cert:
+        certfile, keyfile = (cert, None) if isinstance(cert, str) else cert
+        context.load_cert_chain(certfile, keyfile)
+    return context
+
+
+def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
+    """An unopened keep-alive connection for the endpoint ``url``, the prefix of
+    its request targets, and the headers every request carries.
+
+    The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``),
+    the CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) and the
+    credentials (``.netrc`` or ``NETRC``, else the URL's own) are read from the
+    environment by requests' rules. A plain-HTTP request goes to the proxy
+    with the absolute URL as its target; an HTTPS one is tunnelled through it.
+    """
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ProtocolError(f"endpoint {url!r} is not an http or https URL")
+    with requests.Session() as session:
+        env = session.merge_environment_settings(url, {}, None, None, None)
+    headers = {
+        "Content-Type": "application/json",
+        "Accept": "application/json",
+        "User-Agent": requests.utils.default_user_agent(),
+    }
+    auth = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
+    if any(auth):
+        headers["Authorization"] = _basic_auth(*auth)
+    https = parts.scheme == "https"
+    context = _ssl_context(env["verify"], env["cert"]) if https else None
+
+    def connect(host: str, port: int | None) -> http.client.HTTPConnection:
+        if https:
+            return http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
+        return http.client.HTTPConnection(host, port, timeout=timeout)
+
+    proxy = requests.utils.select_proxy(url, env["proxies"])
+    if not proxy:
+        return connect(parts.hostname, parts.port), parts.path, headers
+    proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+    proxy_parts = urlsplit(proxy)
+    if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+        raise ProtocolError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
+    user, password = requests.utils.get_auth_from_url(proxy)
+    proxy_auth = {"Proxy-Authorization": _basic_auth(user, password)} if user else {}
+    conn = connect(proxy_parts.hostname, proxy_parts.port)
+    if https:
+        conn.set_tunnel(parts.hostname, parts.port, headers=proxy_auth)
+        return conn, parts.path, headers
+    return conn, f"http://{parts.netloc.rpartition('@')[2]}{parts.path}", {**headers, **proxy_auth}
+
+
 class RemoteBackend(Backend):
     """HTTP client for an inference server speaking the JSON wire protocol.
 
     The constructor performs the /info request and fails fast when the
     endpoint is unreachable or replies out of schema. Servers may return
     "logits" instead of "probs"; logits are normalized client-side with a
-    softmax. The client keeps one requests.Session, which requests does not
-    document as thread-safe: use one RemoteBackend per thread.
+    softmax.
 
-    The proxy, CA bundle and .netrc settings for the endpoint are read from
-    the environment once, here, not on every request.
+    Each instance sends its requests, one at a time, over one keep-alive
+    ``http.client`` connection, so it is not thread-safe: use one
+    RemoteBackend per thread. The proxy, CA bundle, client certificate and
+    .netrc settings for the endpoint are read from the environment once,
+    here, by requests' rules (see ``_connection``). Redirects are not
+    followed (a 3xx status raises ``ProtocolError``) and no compression is
+    advertised.
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
-        self._session = requests.Session()
-        env = self._session.merge_environment_settings(self._url, {}, None, None, None)
-        self._session.proxies = env["proxies"]
-        self._session.verify = env["verify"]
-        self._session.cert = env["cert"]
-        self._session.auth = requests.utils.get_netrc_auth(self._url)
-        self._session.trust_env = False
+        # The connection keeps the name ``_session``: the benchmark closes
+        # it to let its wire server stop.
+        try:
+            self._session, self._target, self._headers = _connection(self._url, timeout)
+        except (OSError, ValueError) as exc:
+            raise ProtocolError(f"cannot connect to {self._url}: {exc}") from exc
         self._info = _json_info(self._request("GET", "/info"), ProtocolError)
 
     @property
     def info(self) -> BackendInfo:
         return self._info
 
+    def _exchange(self, method: str, path: str, data: bytes | None) -> tuple[int, bytes]:
+        """Send one request and read the whole response: its status and body.
+
+        A reused connection that the server has since closed fails before any
+        response line arrives; the request is then sent once more, on a fresh
+        connection. Requests are pure functions of the prefix, so resending is
+        safe. A failure on a fresh connection is not retried.
+        """
+        conn = self._session
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request(method, self._target + path, data, self._headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is the first
+                if not reused:
+                    raise
+                conn.close()
+                continue
+            return response.status, response.read()
+
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
+        """The JSON object a request returns. A failed request closes the
+        connection, so a late response cannot answer the next request."""
         url = self._url + path
+        data = None if body is None else json.dumps(body, allow_nan=False).encode()
         try:
-            resp = self._session.request(method, url, json=body, timeout=self._timeout)
-        except requests.Timeout as exc:
+            status, payload = self._exchange(method, path, data)
+        except TimeoutError as exc:
+            self._session.close()
             raise TimeoutError(f"{method} {url} timed out after {self._timeout}s") from exc
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
+            self._session.close()
             raise ProtocolError(f"{method} {url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProtocolError(f"{method} {url} returned HTTP {resp.status_code}")
+        if status != 200:
+            raise ProtocolError(f"{method} {url} returned HTTP {status}")
         try:
-            doc = resp.json()
+            doc = json.loads(payload)
         except ValueError as exc:
             raise ProtocolError(f"{method} {url} returned invalid JSON") from exc
         if not isinstance(doc, dict):

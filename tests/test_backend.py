@@ -35,6 +35,17 @@ class TestBackendInfo:
         with pytest.raises(ValidationError):
             BackendInfo(vocab_size=4, hidden_dim=2, eou_token_id=4)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "hidden_dim", "eou_token_id"])
+    @pytest.mark.parametrize("value", [3.0, 64.9, "3", True, None])
+    def test_rejects_non_integer_fields(self, field, value):
+        fields = {"vocab_size": 8, "hidden_dim": 4, "eou_token_id": 7, field: value}
+        with pytest.raises(ValidationError, match=field):
+            BackendInfo(**fields)
+
+    def test_accepts_numpy_integers(self):
+        info = BackendInfo(vocab_size=np.int64(8), hidden_dim=np.int32(4), eou_token_id=np.uint8(7))
+        assert info == BackendInfo(vocab_size=8, hidden_dim=4, eou_token_id=7)
+
 
 class TestScriptedBackend:
     def table(self):
