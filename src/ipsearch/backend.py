@@ -15,6 +15,7 @@ import http.client
 import json
 import os
 import ssl
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from urllib.parse import urlsplit
 import numpy as np
 import requests
 
-from .core import TokenId
+from .core import TokenId, _is_integer
 from .errors import (
     ArgumentError,
     MissingEntryError,
@@ -87,7 +88,7 @@ def _array(x, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
 def _integer(x, name: str) -> int:
     """``x`` as an int; raises ``ValidationError`` naming ``name`` when it is
     not an integer, so a float, a string or a bool is refused, not truncated."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+    if not _is_integer(x):
         raise ValidationError(f"{name} must be an integer, got {x!r}")
     return int(x)
 
@@ -174,7 +175,8 @@ class Backend(ABC):
     """Abstract model interface.
 
     ``forward`` is a pure function of (backend identity, prefix,
-    want_all_hidden); implementations must be safe for concurrent calls.
+    want_all_hidden); implementations must be safe for concurrent calls
+    from several threads.
     The decoders work through ``open``: its default builds a ``Session`` on
     ``forward`` and ``forward_candidates``, and a backend that can reuse
     work across steps overrides it. Overriding sessions must match the
@@ -230,8 +232,10 @@ class Backend(ABC):
         v = self.info.vocab_size
         ids = []
         for t in tokens:
-            ti = int(t)
-            if ti != t or not 0 <= ti < v:
+            # A float, a bool or numpy's bool_ is refused, not taken as the
+            # int it compares equal to; a plain int skips the call.
+            ti = t if type(t) is int else int(t) if _is_integer(t) else None
+            if ti is None or not 0 <= ti < v:
                 raise VocabError(f"{kind} id {t!r} outside vocabulary of size {v}")
             ids.append(ti)
         return ids
@@ -296,23 +300,26 @@ def load_scripted(path: str | Path) -> ScriptedBackend:
     return ScriptedBackend(info, table)
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def _layer_norm(x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     # The reductions x.mean and x.var make (a sum, then a division by the
     # count, each), with the centred rows computed once; the result is
-    # bitwise theirs.
+    # bitwise (x - x.mean) / sqrt(x.var + eps). The model's layer norms have
+    # no gain or shift: they would be the identity ones and zeros.
     n = x.shape[-1]
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / n
-    centred /= np.sqrt(var + eps)
-    centred *= gamma
-    centred += beta
+    var += eps
+    centred /= np.sqrt(var, out=var)
     return centred
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    # np.maximum.reduce and np.add.reduce are what x.max and x.sum run,
+    # without their Python wrappers; the shifted copy is worked on in place.
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 def _causal_softmax(scores: np.ndarray) -> np.ndarray:
@@ -329,12 +336,12 @@ def _causal_softmax(scores: np.ndarray) -> np.ndarray:
     t = scores.shape[-1]
     causal = np.tri(t, dtype=bool)
     z = np.subtract(
-        scores, np.max(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf), out=scores
+        scores, np.maximum.reduce(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf), out=scores
     )
     np.exp(z, where=causal, out=z)
     # The masked entries still hold their finite differences.
     np.copyto(z, 0.0, where=~causal)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -362,8 +369,9 @@ class TinyTransformer(Backend):
     ``seed``, so two constructions with the same arguments are identical and
     forward is fully deterministic. Logits come from tied token embeddings;
     hidden states are the final-layer activations after the closing layer
-    norm. By convention the end-of-utterance id is ``vocab_size - 1`` unless
-    overridden.
+    norm. The layer norms have no gain or shift and the MLP has no biases:
+    they would be ones and zeros, which change no value. By convention the
+    end-of-utterance id is ``vocab_size - 1`` unless overridden.
     """
 
     def __init__(
@@ -388,6 +396,7 @@ class TinyTransformer(Backend):
             eou_token_id=vocab_size - 1 if eou_token_id is None else eou_token_id,
         )
         self._heads = heads
+        self._sqrt_head_dim = float(np.sqrt(hidden_dim // heads))
         self._max_seq_len = max_seq_len
 
         rng = np.random.Generator(np.random.PCG64(int(seed)))
@@ -401,83 +410,73 @@ class TinyTransformer(Backend):
         w_std = 1.0 / np.sqrt(d)
         self._blocks = []
         for _ in range(layers):
+            # The query, key and value projections side by side, drawn in
+            # that order.
+            wqkv = np.concatenate([mat(d, d, w_std) for _ in range(3)], axis=1)
             self._blocks.append(
                 {
-                    "ln1_g": np.ones(d),
-                    "ln1_b": np.zeros(d),
-                    "wq": mat(d, d, w_std),
-                    "wk": mat(d, d, w_std),
-                    "wv": mat(d, d, w_std),
+                    "wqkv": wqkv,
                     "wo": mat(d, d, w_std),
-                    "ln2_g": np.ones(d),
-                    "ln2_b": np.zeros(d),
                     "w1": mat(d, 4 * d, w_std),
-                    "b1": np.zeros(4 * d),
                     "w2": mat(4 * d, d, 1.0 / np.sqrt(4 * d)),
-                    "b2": np.zeros(d),
                 }
             )
-        self._lnf_g = np.ones(d)
-        self._lnf_b = np.zeros(d)
         # Read-only, so a kernel that writes into a weight raises.
-        for w in (self._tok_emb, self._pos_emb, self._lnf_g, self._lnf_b):
+        for w in (self._tok_emb, self._pos_emb, *(w for blk in self._blocks for w in blk.values())):
             w.setflags(write=False)
-        for blk in self._blocks:
-            for w in blk.values():
-                w.setflags(write=False)
 
     @property
     def info(self) -> BackendInfo:
         return self._info
 
-    def _qkv(self, x: np.ndarray, blk: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Queries, keys and values of the rows of ``x`` (..., rows, d), each
-        (..., heads, rows, head_dim)."""
+    def _qkv(self, x: np.ndarray, blk: dict) -> np.ndarray:
+        """Queries, keys and values of the rows of ``x`` (..., rows, d), as one
+        (3, ..., heads, rows, head_dim) view of one matmul."""
         *batch, t, d = x.shape
-        hd = d // self._heads
-        return tuple(
-            (x @ blk[w]).reshape(*batch, t, self._heads, hd).swapaxes(-3, -2) for w in ("wq", "wk", "wv")
-        )
+        n = len(batch)
+        qkv = (x @ blk["wqkv"]).reshape(*batch, t, 3, self._heads, d // self._heads)
+        return qkv.transpose(n + 1, *range(n), n + 2, n, n + 3)
 
-    def _attend(self, x: np.ndarray, blk: dict, kv: list | None = None) -> np.ndarray:
+    def _attend(self, x: np.ndarray, layer: int, kv: np.ndarray | None = None) -> np.ndarray:
         """Causal self-attention within each sequence of ``x`` (batch, t, d);
-        appends the layer's keys and values to ``kv`` when given."""
+        writes the layer's keys and values into ``kv[layer]`` when given."""
         *batch, t, d = x.shape
-        hd = d // self._heads
-        q, k, v = self._qkv(x, blk)
+        blk = self._blocks[layer]
+        qkv = self._qkv(x, blk)
         if kv is not None:
-            kv.append((k, v))
+            kv[layer] = qkv[1:]
+        q, k, v = qkv
         scores = q @ k.swapaxes(-1, -2)
-        scores /= np.sqrt(hd)
+        scores /= self._sqrt_head_dim
         att = _causal_softmax(scores)
         out = (att @ v).swapaxes(-3, -2).reshape(*batch, t, d)
         return out @ blk["wo"]
 
-    def _attend_cached(self, x: np.ndarray, blk: dict, cache: tuple, rows: list) -> np.ndarray:
-        """Attention of alternative next positions: each row of ``x`` sees the
-        cached keys and values of the prefix and itself, not the other rows.
-        Appends the rows' own keys and values to ``rows``."""
+    def _attend_cached(self, x: np.ndarray, layer: int, kv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Attention of alternative next positions: each row of ``x`` (m, d)
+        sees the prefix's cached keys and values ``kv[layer]`` and itself, not
+        the other rows. Writes the rows' own keys and values into ``rows[layer]``."""
         m, d = x.shape
-        hd = d // self._heads
-        keys, values = cache
-        q, k, v = self._qkv(x, blk)
-        rows.append((k, v))
-        own = np.sum(q * k, axis=-1, keepdims=True)
-        scores = np.concatenate([q @ keys.transpose(0, 2, 1), own], axis=-1) / np.sqrt(hd)
+        blk = self._blocks[layer]
+        keys, values = kv[layer]
+        qkv = self._qkv(x, blk)
+        rows[layer] = qkv[1:]
+        q, k, v = qkv
+        own = np.add.reduce(q * k, axis=-1, keepdims=True)
+        scores = np.concatenate([q @ keys.swapaxes(-1, -2), own], axis=-1)
+        scores /= self._sqrt_head_dim
         att = _softmax(scores)
-        out = att[..., :-1] @ values + att[..., -1:] * v
+        out = att[..., :-1] @ values
+        out += att[..., -1:] * v
         return out.transpose(1, 0, 2).reshape(m, d) @ blk["wo"]
 
     def _stack(self, x: np.ndarray, attend: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
         """The blocks of ``forward`` and the closing norm, with ``attend(x, layer)``
         as each block's attention."""
         for layer, blk in enumerate(self._blocks):
-            x = x + attend(_layer_norm(x, blk["ln1_g"], blk["ln1_b"]), layer)
-            h = _layer_norm(x, blk["ln2_g"], blk["ln2_b"]) @ blk["w1"]
-            h += blk["b1"]
-            x = x + _gelu(h) @ blk["w2"]
-            x += blk["b2"]
-        return _layer_norm(x, self._lnf_g, self._lnf_b)
+            x = x + attend(_layer_norm(x), layer)
+            x = x + _gelu(_layer_norm(x) @ blk["w1"]) @ blk["w2"]
+        return _layer_norm(x)
 
     def _check_length(self, t: int) -> None:
         if t > self._max_seq_len:
@@ -489,17 +488,17 @@ class TinyTransformer(Backend):
         self._check_length(len(ids))
         return ids
 
-    def _encode(self, ids: np.ndarray, kv: list | None = None) -> np.ndarray:
+    def _encode(self, ids: np.ndarray, kv: np.ndarray | None = None) -> np.ndarray:
         """The final hidden state of each position of each row of ``ids``, a
-        (batch, t) array of checked ids; appends every layer's keys and values,
-        each (batch, heads, t, head_dim), to ``kv`` when given.
+        (batch, t) array of checked ids; writes every layer's keys and values
+        into ``kv``, a (layers, 2, batch, heads, t, head_dim) array, when given.
 
         Every sequence is computed by the same numpy calls on same-shaped
         slices as a batch of one, so its states are bitwise the same.
         """
         return self._stack(
             self._tok_emb[ids] + self._pos_emb[: ids.shape[1]],
-            lambda x, layer: self._attend(x, self._blocks[layer], kv),
+            lambda x, layer: self._attend(x, layer, kv),
         )
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
@@ -510,9 +509,10 @@ class TinyTransformer(Backend):
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Encode the context once and keep every layer's keys and values."""
         ids = self._ids(context_tokens)
-        kv: list = []
+        d = self._info.hidden_dim
+        kv = np.empty((len(self._blocks), 2, 1, self._heads, len(ids), d // self._heads))
         h = self._encode(np.array([ids]), kv)[0]
-        return _TinySession(self, ids, list(h), [(k[0], v[0]) for k, v in kv])
+        return _TinySession(self, ids, list(h), kv[:, :, 0])
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
         h = self._encode(np.array([self._ids(prefix)]))[0]
@@ -544,7 +544,7 @@ class TinyTransformer(Backend):
 
 
 class _TinySession(Session):
-    """Session over a TinyTransformer's per-layer key/value cache.
+    """Session over a TinyTransformer's key/value cache.
 
     A probe runs its candidates as one batch of rows at the next position,
     each attending to the cache and to itself; extending by a probed token
@@ -552,12 +552,17 @@ class _TinySession(Session):
     computed twice.
     """
 
-    def __init__(self, model: TinyTransformer, tokens, hidden_all: list, kv: list):
-        super().__init__(model, tokens, hidden_all)
-        self._kv = kv  # per layer: (keys, values), each (heads, prefix length, head_dim)
-        # probed token -> (its hidden state, the probe's per-layer (keys,
-        # values) rows, its row index in them)
-        self._probed: dict[int, tuple[np.ndarray, list, int]] = {}
+    def __init__(self, model: TinyTransformer, tokens: list[int], hidden_all: list, kv: np.ndarray):
+        # What Session.__init__ sets, but ``tokens``, a list of checked ints,
+        # is kept as handed over rather than converted again.
+        self._backend = model
+        self.tokens = tokens
+        self._hidden_all = hidden_all
+        self._probs = None
+        self._kv = kv  # (layers, 2, heads, prefix length, head_dim): keys, then values
+        # probed token -> (its hidden state, the probe's keys and values,
+        # (layers, 2, heads, candidates, head_dim), its row index in them)
+        self._probed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def _next_probs(self) -> np.ndarray:
         return self._backend._probs(self.hidden_all[-1])
@@ -568,27 +573,26 @@ class _TinySession(Session):
         _, ids = model._check_candidates([], candidates)
         t = len(self.tokens)
         model._check_length(t + 1)
-        rows: list = []
-        h = model._stack(
-            model._tok_emb[ids] + model._pos_emb[t],
-            lambda x, layer: model._attend_cached(x, model._blocks[layer], self._kv[layer], rows),
+        kv = self._kv
+        layers, _, heads, _, head_dim = kv.shape
+        rows = np.empty((layers, 2, heads, len(ids), head_dim))
+        h = list(
+            model._stack(
+                model._tok_emb[ids] + model._pos_emb[t],
+                lambda x, layer: model._attend_cached(x, layer, kv, rows),
+            )
         )
         for i, c in enumerate(ids):
             self._probed[c] = (h[i], rows, i)
-        return [h[i] for i in range(len(ids))]
+        return h
 
     def extend(self, token: TokenId) -> Session:
+        (token,) = self._backend._check_tokens([token], "token")
         if token not in self._probed:
             self.probe([token])
         hidden, rows, i = self._probed[token]
-        kv = [
-            (
-                np.concatenate([keys, k[:, i : i + 1]], axis=1),
-                np.concatenate([values, v[:, i : i + 1]], axis=1),
-            )
-            for (keys, values), (k, v) in zip(self._kv, rows)
-        ]
-        return _TinySession(self._backend, self.tokens + [int(token)], self.hidden_all + [hidden], kv)
+        kv = np.concatenate([self._kv, rows[:, :, :, i : i + 1]], axis=3)
+        return _TinySession(self._backend, self.tokens + [token], self.hidden_all + [hidden], kv)
 
 
 def _field(doc: dict, key: str):
@@ -673,9 +677,10 @@ class RemoteBackend(Backend):
     "logits" instead of "probs"; logits are normalized client-side with a
     softmax.
 
-    Each instance sends its requests, one at a time, over one keep-alive
-    ``http.client`` connection, so it is not thread-safe: use one
-    RemoteBackend per thread. The proxy, CA bundle, client certificate and
+    Each instance sends its requests over one keep-alive ``http.client``
+    connection. A lock holds each request and its response together, so
+    threads may share an instance: their requests take turns on the
+    connection. The proxy, CA bundle, client certificate and
     .netrc settings for the endpoint are read from the environment once,
     here, by requests' rules (see ``_connection``). Redirects are not
     followed (a 3xx status raises ``ProtocolError``) and no compression is
@@ -685,6 +690,7 @@ class RemoteBackend(Backend):
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
+        self._lock = threading.Lock()  # one exchange on the connection at a time
         # The connection keeps the name ``_session``: the benchmark closes
         # it to let its wire server stop.
         try:
@@ -723,14 +729,15 @@ class RemoteBackend(Backend):
         connection, so a late response cannot answer the next request."""
         url = self._url + path
         data = None if body is None else json.dumps(body, allow_nan=False).encode()
-        try:
-            status, payload = self._exchange(method, path, data)
-        except TimeoutError as exc:
-            self._session.close()
-            raise TimeoutError(f"{method} {url} timed out after {self._timeout}s") from exc
-        except (OSError, http.client.HTTPException) as exc:
-            self._session.close()
-            raise ProtocolError(f"{method} {url} failed: {exc}") from exc
+        with self._lock:
+            try:
+                status, payload = self._exchange(method, path, data)
+            except TimeoutError as exc:
+                self._session.close()
+                raise TimeoutError(f"{method} {url} timed out after {self._timeout}s") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                self._session.close()
+                raise ProtocolError(f"{method} {url} failed: {exc}") from exc
         if status != 200:
             raise ProtocolError(f"{method} {url} returned HTTP {status}")
         try:

@@ -30,6 +30,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    # The rule for token ids: an int or a numpy integer. bool is a subclass
+    # of int, and numpy's bool_ of neither, but True is not token 1.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -46,7 +52,8 @@ class DialogueContext:
         for i, utt in enumerate(self.utterances):
             if not utt:
                 raise ArgumentError(f"utterance {i} is empty")
-            if any((not isinstance(t, int)) or t < 0 for t in utt):
+            # A plain int skips the call.
+            if any((type(t) is not int and not _is_integer(t)) or t < 0 for t in utt):
                 raise ArgumentError(f"utterance {i} contains a non-token value")
         return self
 

@@ -29,8 +29,20 @@ def _as_array(x, ndims=(1, 2)) -> np.ndarray:
 
 
 def _norms(v: np.ndarray):
-    # A single vector keeps the one np.linalg.norm call it always had.
-    return float(np.linalg.norm(v)) if v.ndim == 1 else np.linalg.norm(v, axis=1)
+    """The norm of a vector, or of each row of a matrix; DegenerateVectorError
+    when one is at most DEGENERATE_NORM or not finite."""
+    if v.ndim == 1:
+        # A single vector keeps the one np.linalg.norm call it always had.
+        norms = float(np.linalg.norm(v))
+        ok = DEGENERATE_NORM < norms < np.inf  # a NaN norm fails both comparisons
+    else:
+        # What np.linalg.norm(v, axis=1) computes for real input, without
+        # its Python wrapper.
+        norms = np.sqrt(np.add.reduce(v * v, axis=1))
+        ok = ((norms > DEGENERATE_NORM) & (norms < np.inf)).all()
+    if not ok:
+        raise DegenerateVectorError(f"norm near zero or not finite: {np.min(norms)}")
+    return norms
 
 
 def cosine(a, b):
@@ -48,18 +60,21 @@ def cosine(a, b):
         raise DimensionError(f"vector shapes differ: {va.shape} vs {vb.shape}")
     na = _norms(va)
     nb = _norms(vb)
-    for norms in (na, nb):
-        # A NaN norm fails both comparisons.
-        if not np.all((norms > DEGENERATE_NORM) & (norms < np.inf)):
-            raise DegenerateVectorError(f"norm near zero or not finite: {np.min(norms)}")
     sims = (va @ vb.T) / np.multiply.outer(na, nb)
     # fmax/fmin map NaN to -1.0, as the built-in max/min always did.
     return _unwrap(np.fmin(1.0, np.fmax(-1.0, sims)))
 
 
 def _unwrap(values):
-    """A float for one vector's result; the array of per-row results otherwise."""
-    return float(values) if np.ndim(values) == 0 else values
+    """A float for one vector's result; the array of per-row results otherwise.
+    ``values`` is a numpy array or scalar, so its own ``ndim`` is read."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _mean(values: np.ndarray):
+    """The mean over the last axis, as np.mean computes it: a sum, then a
+    division by the count."""
+    return _unwrap(np.add.reduce(values, axis=-1) / values.shape[-1])
 
 
 def response_representation(generated_hiddens: Sequence, candidate=None) -> np.ndarray:
@@ -81,7 +96,7 @@ def response_representation(generated_hiddens: Sequence, candidate=None) -> np.n
         raise DimensionError("hidden vectors have mixed lengths")
     # The row sum runs in order and the candidate comes last, as in a mean
     # over the stacked vectors.
-    return (np.sum(rows, axis=0) + cands) / (len(rows) + 1)
+    return (np.add.reduce(rows, axis=0) + cands) / (len(rows) + 1)
 
 
 def proximal_value(candidate_hidden, generated_hiddens: Sequence):
@@ -93,14 +108,14 @@ def proximal_value(candidate_hidden, generated_hiddens: Sequence):
     if len(generated_hiddens) == 0:
         cands = _as_array(candidate_hidden)
         return 0.0 if cands.ndim == 1 else np.zeros(len(cands))
-    return _unwrap(np.mean(cosine(candidate_hidden, _as_array(generated_hiddens, (2,))), axis=-1))
+    return _mean(cosine(candidate_hidden, _as_array(generated_hiddens, (2,))))
 
 
 def isotropic_value(response_rep, utterance_reps: Sequence):
     """Mean cosine of the response representation to each utterance representation."""
     if len(utterance_reps) == 0:
         raise ArgumentError("utterance_reps must be non-empty")
-    return _unwrap(np.mean(cosine(response_rep, _as_array(utterance_reps, (2,))), axis=-1))
+    return _mean(cosine(response_rep, _as_array(utterance_reps, (2,))))
 
 
 def ips_score(prob, p_value, i_value, cfg: StrategyConfig):
@@ -121,4 +136,4 @@ def degeneration_penalty(candidate_hidden, prefix_hiddens: Sequence):
     """Maximum cosine of the candidate to any prefix token's hidden state."""
     if len(prefix_hiddens) == 0:
         raise ArgumentError("prefix_hiddens must be non-empty")
-    return _unwrap(np.max(cosine(candidate_hidden, _as_array(prefix_hiddens, (2,))), axis=-1))
+    return _unwrap(np.maximum.reduce(cosine(candidate_hidden, _as_array(prefix_hiddens, (2,))), axis=-1))

@@ -152,9 +152,12 @@ class TestTinyTransformer:
 
     def test_weights_are_read_only(self, tiny_backend):
         m = tiny_backend
-        weights = [m._tok_emb, m._pos_emb, m._lnf_g, m._lnf_b]
+        weights = [m._tok_emb, m._pos_emb]
         weights += [w for blk in m._blocks for w in blk.values()]
-        assert len(weights) == 4 + 12 * TINY_ARGS["layers"]
+        assert [sorted(blk) for blk in m._blocks] == [["w1", "w2", "wo", "wqkv"]] * TINY_ARGS["layers"]
+        assert len(weights) == 2 + 4 * TINY_ARGS["layers"]
+        # No array on the model lies outside the list.
+        assert all(any(a is w for w in weights) for a in vars(m).values() if isinstance(a, np.ndarray))
         for w in weights:
             with pytest.raises(ValueError, match="read-only"):
                 w += 0.0
@@ -217,10 +220,9 @@ class TestBatchedEncoder:
     def test_layer_norm_is_the_mean_var_formula(self, seed, rows, cols, scale):
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.normal(rng.normal(), scale, size=(rows, cols))
-        g, b = rng.normal(size=cols), rng.normal(size=cols)
         eps = 1e-5
-        old = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + eps) * g + b
-        assert np.array_equal(_layer_norm(x, g, b, eps), old)
+        old = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + eps)
+        assert np.array_equal(_layer_norm(x, eps), old)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

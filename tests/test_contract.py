@@ -210,3 +210,49 @@ def test_candidate_arguments_agree_across_backends(tiny, remote, kind, prefix, c
         assert len(got) == len(candidates)
         for g, w in zip(got, tiny.forward_candidates(prefix, candidates)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+# Token ids: an int or a numpy integer, never a bool, numpy's bool_ or a
+# float that equals an int.
+
+NOT_TOKEN_IDS = [True, False, np.True_, np.False_, 1.0]
+
+
+def _backend(kind, tiny, remote):
+    prefixes = [(2,), (2, 0), (2, 1), (1,)]
+    scripted = ScriptedBackend(tiny.info, {p: tiny.forward(list(p), want_all_hidden=True) for p in prefixes})
+    return {"scripted": scripted, "tiny": tiny, "remote": remote}[kind]
+
+
+@pytest.mark.parametrize("bad", NOT_TOKEN_IDS, ids=repr)
+@pytest.mark.parametrize("kind", ["scripted", "tiny", "remote"])
+def test_every_entry_point_refuses_a_non_integer_token_id(tiny, remote, kind, bad):
+    backend = _backend(kind, tiny, remote)
+    session = backend.open([2])
+    session.probe([0, 1])  # a probed 0 or 1 must not answer for False or True
+    calls = {
+        "forward": (lambda: backend.forward([2, bad]), "token"),
+        "forward_candidates prefix": (lambda: backend.forward_candidates([bad], [1]), "token"),
+        "forward_candidates candidate": (lambda: backend.forward_candidates([2], [bad]), "candidate"),
+        "probe": (lambda: session.probe([0, bad]), "candidate"),
+        "extend": (lambda: session.extend(bad), "token"),
+    }
+    for name, (call, kind_) in calls.items():
+        assert _outcome(call) == _vocab(kind_, bad), name
+
+
+@pytest.mark.parametrize("kind", ["scripted", "tiny", "remote"])
+def test_numpy_integer_token_ids_act_as_ints(tiny, remote, kind):
+    backend = _backend(kind, tiny, remote)
+    i64, u8 = np.int64, np.uint8
+    got, want = backend.forward([i64(2), u8(1)], want_all_hidden=True), backend.forward([2, 1], want_all_hidden=True)
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert [h.tobytes() for h in got.hidden_all] == [h.tobytes() for h in want.hidden_all]
+    rows = backend.forward_candidates([i64(2)], [u8(0), i64(1)])
+    assert [h.tobytes() for h in rows] == [h.tobytes() for h in backend.forward_candidates([2], [0, 1])]
+    session = backend.open([i64(2)])
+    assert [h.tobytes() for h in session.probe([u8(1)])] == [h.tobytes() for h in backend.open([2]).probe([1])]
+    for token in (i64(1), u8(0)):  # probed, then not probed
+        longer = session.extend(token)
+        assert longer.tokens == [2, int(token)] and all(type(t) is int for t in longer.tokens)
+        assert longer.probs.tobytes() == backend.open([2]).extend(int(token)).probs.tobytes()

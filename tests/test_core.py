@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipsearch import ArgumentError, RangeError, StrategyConfig, validate_config
+from ipsearch import ArgumentError, DialogueContext, RangeError, StrategyConfig, generate, validate_config
 
 
 class TestValidateConfig:
@@ -100,3 +101,18 @@ class TestConfigRoundTrip:
     def test_non_object_rejected(self):
         with pytest.raises(ArgumentError):
             StrategyConfig.from_json("[1, 2]")
+
+
+class TestDialogueContext:
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 1.0, -1, np.int64(-1), "1", None], ids=repr)
+    def test_a_token_is_an_integer_not_a_bool(self, bad):
+        with pytest.raises(ArgumentError, match="utterance 1 contains a non-token value"):
+            DialogueContext([[3], [bad, 2]]).validate()
+
+    def test_numpy_integers_decode_as_ints(self, tiny_backend):
+        cfg = StrategyConfig(strategy="ips", max_new_tokens=6, seed=1)
+        ctx = DialogueContext([[np.int64(3), np.int32(5)], [np.uint8(7)]])
+        want = generate(tiny_backend, DialogueContext([[3, 5], [7]]), cfg)
+        got = generate(tiny_backend, ctx.validate(), cfg)
+        assert got.tokens == want.tokens
+        assert got.session.tokens == want.session.tokens

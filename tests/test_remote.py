@@ -5,6 +5,7 @@ import base64
 import shutil
 import ssl
 import subprocess
+import sys
 import threading
 import time
 
@@ -344,5 +345,41 @@ def test_https_is_tunnelled_through_a_proxy(wrapped, clean_env, self_signed):
         for g, w in zip(got, wrapped.forward_candidates([1, 2], [3, 4])):
             np.testing.assert_allclose(g, w, atol=1e-12)
         assert proxy.targets == [server.url.removeprefix("https://")]
+        assert server.connections == 1
+        remote._session.close()
+
+
+def test_threads_share_one_instance_over_one_connection(wrapped):
+    # Each exchange holds the connection: without the lock, the threads'
+    # requests interleave on it and http.client raises. More threads than
+    # cores, and a short switch interval, make the interleaving likely.
+    contexts = [DialogueContext([[3 + i, 9], [20 + i]]) for i in range(8)]
+    cfg = StrategyConfig(strategy="ips", bootstrap_n=1, max_new_tokens=6, seed=2)
+    with BackendHTTPServer(wrapped, keep_alive=True) as server:
+        remote = RemoteBackend(server.url)
+        want = [generate(remote, ctx, cfg).tokens for ctx in contexts]
+        names = "abc"
+        start = threading.Barrier(len(names), timeout=30)
+        got: dict = {}
+
+        def decode(name):
+            start.wait()
+            try:
+                got[name] = [generate(remote, ctx, cfg).tokens for ctx in contexts]
+            except Exception as exc:  # compared below
+                got[name] = exc
+
+        threads = [threading.Thread(target=decode, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {name: want for name in names}
         assert server.connections == 1
         remote._session.close()

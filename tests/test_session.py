@@ -56,6 +56,57 @@ def test_session_matches_from_scratch_forward(seed, layers, heads, dim, prefix, 
             np.testing.assert_allclose(got, model.forward(prefix + [token, c]).hidden_last, **TOL)
 
 
+def _assert_matches_forward(model, session, tokens):
+    ref = model.forward(tokens, want_all_hidden=True)
+    assert session.tokens == tokens
+    np.testing.assert_allclose(session.probs, ref.probs, **TOL)
+    for got, want in zip(session.hidden_all, ref.hidden_all, strict=True):
+        np.testing.assert_allclose(got, want, **TOL)
+
+
+def _assert_probe_matches_forward(model, session, candidates):
+    for got, c in zip(session.probe(candidates), candidates, strict=True):
+        np.testing.assert_allclose(got, model.forward(session.tokens + [c]).hidden_last, **TOL)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    layers=st.integers(1, 4),
+    heads=st.sampled_from([1, 2, 4]),
+    dim=st.sampled_from([8, 16, 32]),
+    prefix=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=24),
+    # Per extend: the candidates probed first, and whether the next token is
+    # one of them.
+    steps=st.lists(
+        st.tuples(st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=6, unique=True), st.booleans()),
+        min_size=2,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_session_chains_match_from_scratch_forward(seed, layers, heads, dim, prefix, steps, data):
+    # Each extend appends one row to the cache; every later step reads every
+    # row, so a wrong row shows at once or a step later.
+    model = TinyTransformer(seed=seed, vocab_size=VOCAB, hidden_dim=dim, layers=layers, heads=heads)
+    branch_at = data.draw(st.integers(0, len(steps) - 1))
+    session, tokens = model.open(prefix), list(prefix)
+    for n, (candidates, take_probed) in enumerate(steps):
+        _assert_probe_matches_forward(model, session, candidates)
+        unprobed = sorted(set(range(VOCAB)) - set(candidates))
+        token = data.draw(st.sampled_from(candidates if take_probed else unprobed))
+        if n == branch_at:
+            # A sibling from the same session, by the other kind of token.
+            other = data.draw(st.sampled_from(unprobed if take_probed else candidates))
+            sibling = session.extend(other)
+            _assert_matches_forward(model, sibling, tokens + [other])
+            _assert_probe_matches_forward(model, sibling, candidates)
+            _assert_matches_forward(model, sibling.extend(candidates[-1]), tokens + [other, candidates[-1]])
+        session, tokens = session.extend(token), tokens + [token]
+        _assert_matches_forward(model, session, tokens)
+    _assert_probe_matches_forward(model, session, steps[0][0])
+
+
 def test_probe_rejects_bad_candidates(tiny_backend):
     session = tiny_backend.open([1, 63])
     with pytest.raises(ArgumentError):

@@ -102,6 +102,10 @@ class BackendHTTPServer:
         class Handler(BaseHTTPRequestHandler):
             if outer._keep_alive:
                 protocol_version = "HTTP/1.1"
+                # The headers and the body go out in two writes; with Nagle's
+                # algorithm on, the body waits ~40 ms for the client's
+                # delayed ACK on every kept-alive request.
+                disable_nagle_algorithm = True
 
             def setup(self):
                 super().setup()
