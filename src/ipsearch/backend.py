@@ -62,26 +62,36 @@ class BackendInfo:
 class StepOutput:
     """One forward result: probability vector over the vocabulary plus hidden state(s).
 
-    ``hidden_all`` is present only when requested and then has one vector per
-    input position.
+    ``hidden_all`` is present only when requested and then is one float64
+    (len(prefix), d) matrix: row i is the hidden state of position i. The
+    scripted and remote backends hand out read-only arrays.
     """
 
     probs: np.ndarray
     hidden_last: np.ndarray
-    hidden_all: Optional[list[np.ndarray]] = None
+    hidden_all: Optional[np.ndarray] = None
+
+
+def _read_only(x) -> np.ndarray:
+    """A read-only float view of ``x``; a float64 array is not copied."""
+    a = np.asarray(x, dtype=float).view()
+    a.setflags(write=False)
+    return a
 
 
 def _array(x, shape: tuple, name: str, error: type[Exception]) -> np.ndarray:
-    """``x`` as a float array of ``shape`` with finite entries; raises ``error``
-    naming the field when it is not numeric, ragged, misshapen or non-finite."""
+    """A read-only float copy of ``x`` of ``shape`` with finite entries; raises
+    ``error`` naming the field when it is not numeric, ragged, misshapen or
+    non-finite."""
     try:
-        a = np.asarray(x, dtype=float)
+        a = np.array(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise error(f"{name} is not a numeric array of shape {shape}") from exc
     if a.shape != shape:
         raise error(f"{name} has shape {a.shape}, expected {shape}")
     if not np.all(np.isfinite(a)):
         raise error(f"{name} of shape {shape} contains non-finite values")
+    a.setflags(write=False)
     return a
 
 
@@ -120,18 +130,19 @@ def _checked_output(
     hidden_last = _array(out.hidden_last, (d,), "hidden_last", error)
     if out.hidden_all is None:
         return StepOutput(probs, hidden_last)
-    hidden_all = _array(out.hidden_all, (prefix_len, d), "hidden_all", error)
-    return StepOutput(probs, hidden_last, list(hidden_all))
+    return StepOutput(probs, hidden_last, _array(out.hidden_all, (prefix_len, d), "hidden_all", error))
 
 
 class Session:
-    """One decoding position: the prefix ``tokens``, its next-token
-    distribution ``probs``, and ``hidden_all``, the hidden state of every
-    token in ``tokens``.
+    """One decoding position: the prefix ``tokens`` (checked ints, kept as
+    handed over), its next-token distribution ``probs``, and ``hidden_all``,
+    the hidden state of every token in ``tokens`` as one float64
+    (len(tokens), d) matrix.
 
     ``probe`` and ``extend`` never change a session, so one session can be
-    extended by several tokens (beam search branches this way). A session
-    has a single owner and is not thread-safe.
+    extended by several tokens (beam search branches this way). To keep
+    that so, ``probs``, ``hidden_all`` and the matrices ``probe`` returns
+    are read-only. A session has a single owner and is not thread-safe.
 
     This base class computes from scratch with ``backend.forward`` and
     ``backend.forward_candidates``. An opened session holds the context
@@ -140,30 +151,31 @@ class Session:
     Backends that cache override ``Backend.open`` and return a subclass.
     """
 
-    def __init__(self, backend: "Backend", tokens: Sequence[TokenId], hidden_all=None, probs=None):
+    def __init__(self, backend: "Backend", tokens: list[int], hidden_all=None, probs=None):
         self._backend = backend
-        self.tokens = [int(t) for t in tokens]
-        self._hidden_all = hidden_all
-        self._probs = None if probs is None else np.asarray(probs, dtype=float)
+        self.tokens = tokens
+        self._hidden_all = None if hidden_all is None else _read_only(hidden_all)
+        self._probs = None if probs is None else _read_only(probs)
 
     @property
     def probs(self) -> np.ndarray:
         if self._probs is None:
-            self._probs = self._next_probs()
+            self._probs = _read_only(self._next_probs())
         return self._probs
 
     @property
-    def hidden_all(self) -> list[np.ndarray]:
+    def hidden_all(self) -> np.ndarray:
         if self._hidden_all is None:
-            self._hidden_all = self._backend.forward(self.tokens, want_all_hidden=True).hidden_all
+            self._hidden_all = _read_only(self._backend.forward(self.tokens, want_all_hidden=True).hidden_all)
         return self._hidden_all
 
     def _next_probs(self) -> np.ndarray:
-        return np.asarray(self._backend.forward(self.tokens).probs, dtype=float)
+        return self._backend.forward(self.tokens).probs
 
-    def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
-        """Hidden state of each candidate, as if appended to the prefix."""
-        return self._backend.forward_candidates(self.tokens, candidates)
+    def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
+        """Hidden state of each candidate, as if appended to the prefix: one
+        read-only (len(candidates), d) matrix."""
+        return _read_only(self._backend.forward_candidates(self.tokens, candidates))
 
     def extend(self, token: TokenId) -> "Session":
         """The session one token longer."""
@@ -194,14 +206,15 @@ class Backend(ABC):
 
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> list[np.ndarray]:
-        """Hidden state of each candidate appended to ``prefix``.
+    ) -> np.ndarray:
+        """Hidden state of each candidate appended to ``prefix``, as one float64
+        (len(candidates), d) matrix.
 
-        Element i equals forward(prefix + [candidates[i]]).hidden_last;
+        Row i equals forward(prefix + [candidates[i]]).hidden_last;
         implementations may batch but must match that definition.
         """
         ids, cands = self._check_candidates(prefix, candidates)
-        return [self.forward(ids + [c]).hidden_last for c in cands]
+        return np.array([self.forward(ids + [c]).hidden_last for c in cands], dtype=float)
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Start decoding after ``context_tokens``.
@@ -211,7 +224,7 @@ class Backend(ABC):
         ``forward_candidates`` calls.
         """
         out = self.forward(list(context_tokens), want_all_hidden=True)
-        return Session(self, context_tokens, out.hidden_all, out.probs)
+        return Session(self, [int(t) for t in context_tokens], out.hidden_all, out.probs)
 
     def _check_prefix(self, prefix: Sequence[TokenId]) -> list[int]:
         if len(prefix) == 0:
@@ -511,20 +524,15 @@ class TinyTransformer(Backend):
         ids = self._ids(context_tokens)
         d = self._info.hidden_dim
         kv = np.empty((len(self._blocks), 2, 1, self._heads, len(ids), d // self._heads))
-        h = self._encode(np.array([ids]), kv)[0]
-        return _TinySession(self, ids, list(h), kv[:, :, 0])
+        return _TinySession(self, ids, self._encode(np.array([ids]), kv)[0], kv[:, :, 0])
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
         h = self._encode(np.array([self._ids(prefix)]))[0]
-        return StepOutput(
-            probs=self._probs(h[-1]),
-            hidden_last=h[-1],
-            hidden_all=list(h) if want_all_hidden else None,
-        )
+        return StepOutput(self._probs(h[-1]), h[-1], h if want_all_hidden else None)
 
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """Encode the sequences ``prefix + [c]`` as one batch and return each
         one's last hidden state.
 
@@ -540,7 +548,7 @@ class TinyTransformer(Backend):
         seqs = np.empty((len(cands), t), dtype=np.intp)
         seqs[:, :-1] = ids
         seqs[:, -1] = cands
-        return list(self._encode(seqs)[:, -1].copy())
+        return self._encode(seqs)[:, -1].copy()
 
 
 class _TinySession(Session):
@@ -552,22 +560,17 @@ class _TinySession(Session):
     computed twice.
     """
 
-    def __init__(self, model: TinyTransformer, tokens: list[int], hidden_all: list, kv: np.ndarray):
-        # What Session.__init__ sets, but ``tokens``, a list of checked ints,
-        # is kept as handed over rather than converted again.
-        self._backend = model
-        self.tokens = tokens
-        self._hidden_all = hidden_all
-        self._probs = None
+    def __init__(self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray):
+        super().__init__(model, tokens, hidden_all)
         self._kv = kv  # (layers, 2, heads, prefix length, head_dim): keys, then values
-        # probed token -> (its hidden state, the probe's keys and values,
-        # (layers, 2, heads, candidates, head_dim), its row index in them)
+        # probed token -> (the probe's (candidates, d) hidden states, its
+        # (layers, 2, heads, candidates, head_dim) keys and values, the token's row)
         self._probed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
 
     def _next_probs(self) -> np.ndarray:
         return self._backend._probs(self.hidden_all[-1])
 
-    def probe(self, candidates: Sequence[TokenId]) -> list[np.ndarray]:
+    def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         model = self._backend
         # The session's own tokens were checked when it was opened.
         _, ids = model._check_candidates([], candidates)
@@ -576,23 +579,19 @@ class _TinySession(Session):
         kv = self._kv
         layers, _, heads, _, head_dim = kv.shape
         rows = np.empty((layers, 2, heads, len(ids), head_dim))
-        h = list(
-            model._stack(
-                model._tok_emb[ids] + model._pos_emb[t],
-                lambda x, layer: model._attend_cached(x, layer, kv, rows),
-            )
-        )
-        for i, c in enumerate(ids):
-            self._probed[c] = (h[i], rows, i)
+        emb = model._tok_emb[ids] + model._pos_emb[t]
+        h = _read_only(model._stack(emb, lambda x, layer: model._attend_cached(x, layer, kv, rows)))
+        self._probed.update((c, (h, rows, i)) for i, c in enumerate(ids))
         return h
 
     def extend(self, token: TokenId) -> Session:
         (token,) = self._backend._check_tokens([token], "token")
         if token not in self._probed:
             self.probe([token])
-        hidden, rows, i = self._probed[token]
+        h, rows, i = self._probed[token]
         kv = np.concatenate([self._kv, rows[:, :, :, i : i + 1]], axis=3)
-        return _TinySession(self._backend, self.tokens + [token], self.hidden_all + [hidden], kv)
+        hidden_all = np.concatenate([self.hidden_all, h[i : i + 1]])
+        return _TinySession(self._backend, self.tokens + [token], hidden_all, kv)
 
 
 def _field(doc: dict, key: str):
@@ -767,9 +766,9 @@ class RemoteBackend(Backend):
 
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         ids, cands = self._check_candidates(prefix, candidates)
         doc = self._request("POST", "/forward_batch", {"prefix": ids, "candidates": cands})
         shape = (len(cands), self._info.hidden_dim)
-        return list(_array(_field(doc, "hidden"), shape, "hidden", ProtocolError))
+        return _array(_field(doc, "hidden"), shape, "hidden", ProtocolError)
 

@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .backend import Backend, RemoteBackend, TinyTransformer, load_scripted
 from .core import (
     BOOTSTRAP_STRATEGIES,
@@ -209,14 +211,13 @@ def _compare_row(backend, records, cfg) -> dict:
     intra, context, elapsed = [], [], []
     for _, ctx in records:
         result = generate(backend, ctx, cfg)
-        content = [t for t in result.tokens if t != eou]
-        responses.append(content)
+        tokens = np.array(result.tokens)
+        keep = tokens != eou
+        responses.append(tokens[keep].tolist())
         elapsed.append(result.elapsed)
-        n = len(result.tokens)
-        reply = zip(result.tokens, _reply_session(result).hidden_all[-n:])
-        hiddens = [h for t, h in reply if t != eou]
-        if hiddens:
-            diag = diagnostics(result, hiddens, result.utterance_reps)
+        reply = _reply_session(result).hidden_all[-len(tokens):]
+        if keep.any():
+            diag = diagnostics(result, reply[keep], result.utterance_reps)
             intra.append(diag.mean_intra_response_cosine)
             context.append(diag.mean_context_cosine)
     return {
@@ -296,16 +297,14 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     eou = backend.info.eou_token_id
     try:
         session = _reply_session(generate(backend, ctx, cfg))
-        full, hidden_all = session.tokens, session.hidden_all
+        hidden_all = session.hidden_all
     except (DecodingError, TimeoutError) as exc:
         raise BackendFailure(str(exc)) from exc
-    keep = [i for i, t in enumerate(full) if t != eou]
-    hiddens = [hidden_all[i] for i in keep]
-    if tokenizer.mode == "whitespace":
-        labels = [tokenizer.decode([full[i]]) for i in keep]
-    else:
-        labels = [str(full[i]) for i in keep]
-    matrix = similarity_heatmap(hiddens)
+    tokens = np.array(session.tokens)
+    keep = tokens != eou
+    whitespace = tokenizer.mode == "whitespace"
+    labels = [tokenizer.decode([t]) if whitespace else str(t) for t in tokens[keep].tolist()]
+    matrix = similarity_heatmap(hidden_all[keep])
     write_heatmap_csv(args.output, labels, matrix)
     return EXIT_OK
 

@@ -185,17 +185,17 @@ class StepRecord:
 class GenerationResult:
     """Outcome of one generation run.
 
-    ``utterance_reps`` holds the hidden state at each EOU separator of the
-    context, read from the context pass the decoder ran. ``session`` is the
-    decoding session that chose the last token: its prefix is the context
-    and every reply token but the last, so
-    ``session.extend(tokens[-1]).hidden_all`` has a hidden state for every
-    token of context and reply.
+    ``utterance_reps`` is a float64 (utterances, d) matrix: row i is the
+    hidden state at the i-th EOU separator of the context, read from the
+    context pass the decoder ran. ``session`` is the decoding session that
+    chose the last token: its prefix is the context and every reply token
+    but the last, so ``session.extend(tokens[-1]).hidden_all`` has a hidden
+    state for every token of context and reply.
     """
 
     tokens: list[TokenId]
     per_step: list[StepRecord]
     stop_reason: str  # "eou" | "max_len"
     elapsed: float
-    utterance_reps: Optional[list[np.ndarray]] = None
+    utterance_reps: Optional[np.ndarray] = None
     session: Optional[Session] = None

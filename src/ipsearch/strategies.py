@@ -148,7 +148,7 @@ def beam_search(
     info = backend.info
     eou = info.eou_token_id
     root = backend.open(enc.tokens)
-    utterance_reps = [root.hidden_all[p] for p in enc.eou_positions]
+    utterance_reps = root.hidden_all[list(enc.eou_positions)]
 
     # Each beam: (tokens, total logprob, per-token model probs, the session
     # of the prefix before its last token).
@@ -220,7 +220,7 @@ def _sample_token(rule: str, probs: np.ndarray, cfg: StrategyConfig, rng: Rng) -
 
 def _ips_scores(
     generated: np.ndarray, utterance_reps: np.ndarray, cfg: StrategyConfig,
-    probs: np.ndarray, hiddens: list[np.ndarray],
+    probs: np.ndarray, hiddens: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Proximal and isotropic values and the IPS score of every candidate row,
     given the generated tokens' and the utterances' hidden states as rows."""
@@ -235,7 +235,7 @@ def _ips_scores(
 
 
 def _contrastive_scores(
-    prefix_hiddens: np.ndarray, alpha: float, probs: np.ndarray, hiddens: list[np.ndarray]
+    prefix_hiddens: np.ndarray, alpha: float, probs: np.ndarray, hiddens: np.ndarray
 ) -> dict[str, np.ndarray]:
     """Confidence minus max similarity to any prefix token (context and
     generated alike), for every candidate row."""
@@ -246,14 +246,14 @@ def _contrastive_scores(
 def _search_step(
     session: Session,
     m: int,
-    score: Callable[[np.ndarray, list[np.ndarray]], dict[str, np.ndarray]],
+    score: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]],
 ) -> tuple[StepRecord, np.ndarray]:
     """Probe the top-m candidates and keep the best-scoring one.
 
-    ``score`` maps the candidates' probabilities and hidden rows to one value
-    per candidate for each CandidateScore field it fills. Returns the step
-    record, with every candidate's breakdown, and the chosen candidate's
-    hidden state.
+    ``score`` maps the candidates' probabilities and hidden-state matrix to
+    one value per candidate for each CandidateScore field it fills. Returns
+    the step record, with every candidate's breakdown, and the chosen
+    candidate's hidden state.
     """
     probs = session.probs
     ids = sorted(topk_set(probs, m))
@@ -302,7 +302,7 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
 
     session = backend.open(enc.tokens)
     context_hidden = session.hidden_all
-    utterance_reps = [context_hidden[p] for p in enc.eou_positions]
+    utterance_reps = context_hidden[list(enc.eou_positions)]
     rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
     records: list[StepRecord] = []
@@ -314,7 +314,6 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
     c = len(context_hidden)
     rows = np.empty((c + cfg.max_new_tokens, info.hidden_dim))
     rows[:c] = context_hidden
-    utterance_rows = rows[list(enc.eou_positions)]
 
     while True:
         n = c + len(generated)
@@ -322,7 +321,7 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
             score = partial(_contrastive_scores, rows[:n], cfg.alpha)
             record, rows[n] = _search_step(session, cfg.m, score)
         elif cfg.strategy == "ips" and len(generated) >= cfg.bootstrap_n:
-            score = partial(_ips_scores, rows[c:n], utterance_rows, cfg)
+            score = partial(_ips_scores, rows[c:n], utterance_reps, cfg)
             record, rows[n] = _search_step(session, cfg.m, score)
         else:
             probs = session.probs

@@ -92,6 +92,22 @@ class TestScriptedBackend:
         assert backend.forward([1]).hidden_all is None
         assert len(backend.forward([1], want_all_hidden=True).hidden_all) == 1
 
+    def test_table_arrays_are_read_only_copies(self):
+        # Neither the caller's arrays nor an answer can be written into a
+        # later answer.
+        table = self.table()
+        backend = ScriptedBackend(small_info(), table)
+        table[(1,)].probs[0] = 0.0
+        table[(1,)].hidden_last[0] = 5.0
+        out = backend.forward([1], want_all_hidden=True)
+        for a in (out.probs, out.hidden_last, out.hidden_all):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] += 1
+        again = backend.forward([1], want_all_hidden=True)
+        np.testing.assert_array_equal(again.probs, [0.7, 0.2, 0.1, 0.0])
+        np.testing.assert_array_equal(again.hidden_last, [1.0, 0.0])
+        np.testing.assert_array_equal(again.hidden_all, [[1.0, 0.0]])
+
     def test_hidden_all_requested_but_absent(self):
         backend = ScriptedBackend(small_info(), self.table())
         with pytest.raises(MissingEntryError, match="hidden_all"):

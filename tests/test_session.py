@@ -140,6 +140,18 @@ def test_sibling_calls_leave_a_session_unchanged(tiny_backend):
     assert [snapshot(s) for s in (session, longer)] == before
 
 
+def test_a_probed_row_cannot_be_written_into_a_longer_session(tiny_backend):
+    session = tiny_backend.open([1, 2, 3])
+    rows = session.probe([5, 9])
+    longer = session.extend(5)
+    assert not np.shares_memory(longer.hidden_all, rows)
+    for a in (rows, longer.hidden_all, longer.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            a[-1] += 1.0
+    want = tiny_backend.forward([1, 2, 3, 5], want_all_hidden=True).hidden_all
+    np.testing.assert_allclose(longer.hidden_all, want, **TOL)
+
+
 def test_length_errors_match_forward():
     model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
     with pytest.raises(ArgumentError) as scratch:

@@ -483,8 +483,8 @@ def test_block_scores_match_the_scalar_oracles(tiny_backend, contexts24, overrid
         res = generate(tiny_backend, ctx, cfg.replace(seed=seed))
         # The last session holds the context rows and every reply row the loop scored.
         rows = res.session.extend(res.tokens[-1]).hidden_all
-        generated = rows[len(rows) - len(res.tokens):]
-        context = rows[: len(rows) - len(res.tokens)]
+        generated = list(rows[len(rows) - len(res.tokens):])
+        context = list(rows[: len(rows) - len(res.tokens)])
         for s, record in enumerate(res.per_step):
             if record.candidates is None:
                 assert cfg.strategy == "ips" and s < cfg.bootstrap_n
