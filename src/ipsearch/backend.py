@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import netrc
 import os
 import ssl
 import threading
@@ -20,10 +21,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence
-from urllib.parse import urlsplit
+from urllib.parse import unquote, urlsplit
+from urllib.request import getproxies_environment, proxy_bypass_environment
 
 import numpy as np
-import requests
 
 from .core import TokenId, _is_integer
 from .errors import (
@@ -604,62 +605,58 @@ def _basic_auth(user: str, password: str) -> str:
     return "Basic " + base64.b64encode(f"{user}:{password}".encode("latin1")).decode("ascii")
 
 
-def _ssl_context(verify, cert) -> ssl.SSLContext:
-    """The TLS settings requests would apply: ``verify`` is False, True (requests'
-    CA bundle) or the path of a CA file or directory; ``cert`` is None, a
-    combined certificate and key file, or a (certificate, key) pair."""
-    if verify is False:
-        context = ssl.create_default_context()
-        context.check_hostname = False
-        context.verify_mode = ssl.CERT_NONE
-    else:
-        ca = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
-        context = ssl.create_default_context(**{"capath" if os.path.isdir(ca) else "cafile": ca})
-    if cert:
-        certfile, keyfile = (cert, None) if isinstance(cert, str) else cert
-        context.load_cert_chain(certfile, keyfile)
-    return context
+def _url_auth(parts) -> tuple[str, str]:
+    """A split URL's percent-decoded user name and password, if it has a password."""
+    return (unquote(parts.username), unquote(parts.password)) if parts.password is not None else ("", "")
+
+
+def _netrc_auth(host: str) -> tuple[str, str] | None:
+    """The .netrc login (else account) and password for ``host``, from ``NETRC``, else
+    ``~/.netrc``, else ``~/_netrc``; None if there is no entry or no readable file."""
+    names = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    try:
+        path = next(p for p in map(os.path.expanduser, names) if os.path.exists(p))
+        entry = netrc.netrc(path).authenticators(host)
+    except (StopIteration, netrc.NetrcParseError, OSError):
+        return None
+    return (entry[0] or entry[1] or "", entry[2] or "") if entry and any(entry) else None
 
 
 def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
     """An unopened keep-alive connection for the endpoint ``url``, the prefix of
-    its request targets, and the headers every request carries.
-
-    The proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``),
-    the CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) and the
-    credentials (``.netrc`` or ``NETRC``, else the URL's own) are read from the
-    environment by requests' rules. A plain-HTTP request goes to the proxy
-    with the absolute URL as its target; an HTTPS one is tunnelled through it.
-    """
+    its request targets, and the headers every request carries. The proxy is the
+    scheme's (``HTTP_PROXY``, ``HTTPS_PROXY``), else ``ALL_PROXY``, with ``http://``
+    added when it names no scheme; ``NO_PROXY`` hosts go direct. A plain-HTTP
+    request goes to the proxy with the absolute URL as its target; an HTTPS one
+    is tunnelled through it. Credentials come from .netrc, else the URL."""
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ProtocolError(f"endpoint {url!r} is not an http or https URL")
-    with requests.Session() as session:
-        env = session.merge_environment_settings(url, {}, None, None, None)
-    headers = {
-        "Content-Type": "application/json",
-        "Accept": "application/json",
-        "User-Agent": requests.utils.default_user_agent(),
-    }
-    auth = requests.utils.get_netrc_auth(url) or requests.utils.get_auth_from_url(url)
+    headers = {"Content-Type": "application/json", "Accept": "application/json"}
+    auth = _netrc_auth(parts.hostname) or _url_auth(parts)
     if any(auth):
         headers["Authorization"] = _basic_auth(*auth)
     https = parts.scheme == "https"
-    context = _ssl_context(env["verify"], env["cert"]) if https else None
+    ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    ca_args = {("capath" if os.path.isdir(ca) else "cafile"): ca} if ca else {}
+    context = ssl.create_default_context(**ca_args) if https else None
 
     def connect(host: str, port: int | None) -> http.client.HTTPConnection:
         if https:
             return http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
         return http.client.HTTPConnection(host, port, timeout=timeout)
 
-    proxy = requests.utils.select_proxy(url, env["proxies"])
-    if not proxy:
+    proxies = getproxies_environment()
+    proxy = proxies.get(parts.scheme) or proxies.get("all")
+    bypass_host = f"{parts.hostname}:{parts.port}" if parts.port else parts.hostname  # IPv6 unbracketed
+    if not proxy or proxy_bypass_environment(bypass_host, proxies):
         return connect(parts.hostname, parts.port), parts.path, headers
-    proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+    if "://" not in proxy:
+        proxy = "http://" + proxy
     proxy_parts = urlsplit(proxy)
     if proxy_parts.scheme != "http" or not proxy_parts.hostname:
         raise ProtocolError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
-    user, password = requests.utils.get_auth_from_url(proxy)
+    user, password = _url_auth(proxy_parts)
     proxy_auth = {"Proxy-Authorization": _basic_auth(user, password)} if user else {}
     conn = connect(proxy_parts.hostname, proxy_parts.port)
     if https:
@@ -679,11 +676,14 @@ class RemoteBackend(Backend):
     Each instance sends its requests over one keep-alive ``http.client``
     connection. A lock holds each request and its response together, so
     threads may share an instance: their requests take turns on the
-    connection. The proxy, CA bundle, client certificate and
-    .netrc settings for the endpoint are read from the environment once,
-    here, by requests' rules (see ``_connection``). Redirects are not
-    followed (a 3xx status raises ``ProtocolError``) and no compression is
-    advertised.
+    connection. The proxy, CA bundle and .netrc settings for the endpoint are
+    read from the environment once, here, by the standard library's rules (see
+    ``_connection``). HTTPS trusts the CA file or directory that
+    ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``, names, else the system
+    store (which honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``). ``NO_PROXY``
+    lists exact hosts, suffixes that start at a dot, or ``*``; CIDR ranges are
+    not honoured. No ``User-Agent`` header is sent. Redirects are not followed
+    (a 3xx status raises ``ProtocolError``) and no compression is advertised.
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):

@@ -2,16 +2,19 @@
 from __future__ import annotations
 
 import base64
+import os
 import shutil
 import ssl
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipsearch
 from ipsearch import (
     DialogueContext,
     ProtocolError,
@@ -21,6 +24,7 @@ from ipsearch import (
     VocabError,
     generate,
 )
+from ipsearch.backend import _connection
 
 from wire_server import HANGUP, BackendHTTPServer, ForwardingProxy, RawBody
 
@@ -155,6 +159,12 @@ def test_environment_read_at_construction(wrapped, proxy_env):
         np.testing.assert_allclose(got.probs, wrapped.forward([1, 2]).probs, atol=1e-12)
 
 
+def test_no_proxy_matches_an_ipv6_endpoint(proxy_env):
+    proxy_env.setenv("NO_PROXY", "::1")
+    conn, target, _ = _connection("http://[::1]:8080/v1", 1.0)  # not opened
+    assert (conn.host, conn.port, target) == ("::1", 8080, "/v1")
+
+
 def test_unreachable_endpoint_fails_at_startup():
     with pytest.raises(ProtocolError):
         RemoteBackend("http://127.0.0.1:1")
@@ -268,7 +278,7 @@ def test_redirect_is_not_followed(wrapped, status):
         assert server.requests["/info"] == 1
 
 
-# The environment settings requests applies: proxies, .netrc and CA bundles.
+# The environment settings the client reads: proxies, .netrc and CA bundles.
 
 
 @pytest.fixture
@@ -349,6 +359,49 @@ def test_https_is_tunnelled_through_a_proxy(wrapped, clean_env, self_signed):
         remote._session.close()
 
 
+@pytest.mark.parametrize("name, scheme", [("ALL_PROXY", "http://"), ("HTTP_PROXY", "")])
+def test_http_proxy_from_all_proxy_or_without_a_scheme(wrapped, clean_env, name, scheme):
+    # ALL_PROXY serves a scheme that has no proxy of its own; a proxy given as
+    # host:port is an http:// one.
+    with BackendHTTPServer(wrapped) as server, ForwardingProxy() as proxy:
+        clean_env.setenv(name, scheme + proxy.url.removeprefix("http://"))
+        RemoteBackend(server.url).forward([1, 2])
+        assert proxy.targets == [server.url + "/info", server.url + "/forward"]
+        assert server.requests == {"/info": 1, "/forward": 1}
+
+
+def test_unsupported_proxy_scheme_fails_at_construction(wrapped, clean_env):
+    clean_env.setenv("HTTP_PROXY", "socks5://127.0.0.1:1")
+    with BackendHTTPServer(wrapped) as server:
+        with pytest.raises(ProtocolError, match="unsupported proxy"):
+            RemoteBackend(server.url)
+        assert server.requests == {}
+
+
+def test_endpoint_credentials_are_sent_percent_decoded(wrapped, clean_env, tmp_path):
+    clean_env.setenv("NETRC", str(tmp_path / "no-netrc"))
+    with BackendHTTPServer(wrapped) as server:
+        RemoteBackend(server.url.replace("http://", "http://u:p%40ss@")).forward([1])
+        assert [h.get("Authorization") for h in server.request_headers] == [_basic("u", "p@ss")] * 2
+
+
+def test_https_trusts_curl_ca_bundle_when_requests_ca_bundle_is_unset(wrapped, clean_env, self_signed):
+    cert, context = self_signed
+    clean_env.setenv("CURL_CA_BUNDLE", str(cert))
+    with BackendHTTPServer(wrapped, tls=context) as server:
+        got = RemoteBackend(server.url).forward([1, 2])
+        np.testing.assert_allclose(got.probs, wrapped.forward([1, 2]).probs, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+def test_missing_ca_bundle_fails_at_construction(clean_env, tmp_path, name):
+    # The bundle is loaded before any connection is tried, so the error names
+    # the missing file rather than the closed port.
+    clean_env.setenv(name, str(tmp_path / "missing.pem"))
+    with pytest.raises(ProtocolError, match="No such file"):
+        RemoteBackend("https://127.0.0.1:1")
+
+
 def test_threads_share_one_instance_over_one_connection(wrapped):
     # Each exchange holds the connection: without the lock, the threads'
     # requests interleave on it and http.client raises. More threads than
@@ -383,3 +436,16 @@ def test_threads_share_one_instance_over_one_connection(wrapped):
         assert got == {name: want for name in names}
         assert server.connections == 1
         remote._session.close()
+
+
+def test_importing_the_package_loads_no_third_party_http_library():
+    src = str(Path(ipsearch.__file__).parents[1])
+    code = (
+        "import sys, ipsearch\n"
+        "from ipsearch import cli\n"
+        "cli.build_backend('tiny:42,64,16,2,2')\n"
+        "print(sorted({'requests', 'urllib3'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

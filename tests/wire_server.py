@@ -113,6 +113,12 @@ class BackendHTTPServer:
                     outer.connections += 1
                     outer._open.add(self.connection)
 
+            def handle(self):
+                try:
+                    super().handle()
+                except (BrokenPipeError, ConnectionResetError):
+                    pass  # the client hung up, as it does after a timeout
+
             def finish(self):
                 with outer._lock:
                     outer._open.discard(self.connection)
