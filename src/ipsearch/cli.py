@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +25,11 @@ from .core import (
     DialogueContext,
     StrategyConfig,
     TokenId,
+    _is_int,
     validate_config,
 )
-from .encoding import Tokenizer
-from .errors import ArgumentError, DecodingError, RangeError
+from .encoding import Tokenizer, encode_context
+from .errors import ArgumentError, DecodingError, RangeError, VocabError
 from .metrics import diagnostics, distinct_n, similarity_heatmap, write_heatmap_csv
 from .strategies import generate
 
@@ -77,14 +78,20 @@ def build_backend(spec: str) -> Backend:
     raise InputError(f"unknown backend kind {kind!r} (expected scripted|tiny|remote)")
 
 
+def _read(path: str, what: str, parse: Callable[[str], object] = str):
+    """``parse`` applied to a user file's UTF-8 text. A file that cannot be
+    read, decoded or parsed is an InputError naming it."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, TypeError) as exc:
+        raise InputError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_tokenizer(vocab_path: Optional[str]) -> Tokenizer:
     if vocab_path is None:
         return Tokenizer()
-    try:
-        vocab = json.loads(Path(vocab_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read vocab file {vocab_path!r}: {exc}") from exc
-    if not isinstance(vocab, dict) or not all(isinstance(v, int) for v in vocab.values()):
+    vocab = _read(vocab_path, "vocab file", json.loads)
+    if not isinstance(vocab, dict) or not all(_is_int(v) for v in vocab.values()):
         raise InputError(f"vocab file {vocab_path!r} must map words to integer ids")
     unk = vocab.get("<unk>")
     if unk is None:
@@ -95,14 +102,14 @@ def _load_tokenizer(vocab_path: Optional[str]) -> Tokenizer:
 def read_records(
     path: str, backend: Backend, tokenizer: Tokenizer
 ) -> list[tuple[str, DialogueContext]]:
-    """Parse and validate the JSONL input; errors name the offending line."""
-    info = backend.info
+    """Parse and validate the JSONL input; errors name the offending line.
+
+    A context passes the library's own checks: ``encode_context`` (non-empty
+    utterances of token ids, no EOU inside one) and the backend's vocabulary.
+    """
+    eou = backend.info.eou_token_id
     records: list[tuple[str, DialogueContext]] = []
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise InputError(f"cannot read input {path!r}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read(path, "input").splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -126,35 +133,33 @@ def read_records(
         utterances: list[list[TokenId]] = []
         for u, utt in enumerate(raw):
             try:
-                tokens = tokenizer.encode(utt)
+                utterances.append(tokenizer.encode(utt))
             except ArgumentError as exc:
                 raise InputError(f"line {lineno}: utterance {u}: {exc}") from exc
-            if not tokens:
-                raise InputError(f"line {lineno}: utterance {u} is empty")
-            for t in tokens:
-                if not 0 <= t < info.vocab_size:
-                    raise InputError(
-                        f"line {lineno}: token id {t} outside vocabulary of size {info.vocab_size}"
-                    )
-                if t == info.eou_token_id:
-                    raise InputError(
-                        f"line {lineno}: utterance {u} contains the EOU id {t}"
-                    )
-            utterances.append(tokens)
-        records.append((str(doc["id"]), DialogueContext(utterances)))
+        ctx = DialogueContext(utterances)
+        try:
+            backend._check_tokens(encode_context(ctx, eou).tokens, "token")
+        except (ArgumentError, VocabError) as exc:
+            raise InputError(f"line {lineno}: {exc}") from exc
+        records.append((str(doc["id"]), ctx))
     return records
 
 
 def _merge_config(args: argparse.Namespace) -> StrategyConfig:
-    if getattr(args, "config", None):
-        try:
-            cfg = StrategyConfig.from_json(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError, ArgumentError, TypeError) as exc:
-            raise InputError(f"cannot load config {args.config!r}: {exc}") from exc
-    else:
-        cfg = StrategyConfig()
+    cfg = _read(args.config, "config", StrategyConfig.from_json) if args.config else StrategyConfig()
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(StrategyConfig)}
     return cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
+
+
+def _setup(args: argparse.Namespace, runs: Sequence[dict] = ({},)):
+    """What a command needs before its first decode: the backend, the
+    tokenizer, one checked config per entry of ``runs`` (field overrides of
+    the merged config), and the checked records."""
+    backend = build_backend(args.backend)
+    tokenizer = _load_tokenizer(args.vocab)
+    cfg = _merge_config(args)
+    cfgs = [validate_config(cfg.replace(**run), backend.info.vocab_size) for run in runs]
+    return backend, tokenizer, cfgs, read_records(args.input, backend, tokenizer)
 
 
 def _reply_session(result):
@@ -174,19 +179,14 @@ def _trace_dict(record) -> dict:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    backend = build_backend(args.backend)
-    tokenizer = _load_tokenizer(args.vocab)
-    cfg = _merge_config(args)
-    try:
-        validate_config(cfg, backend.info.vocab_size)
-    except RangeError as exc:
-        raise InputError(f"bad config: {exc}") from exc
-    records = read_records(args.input, backend, tokenizer)
+    backend, tokenizer, (cfg,), records = _setup(args)
     eou = backend.info.eou_token_id
-    lines = []
-    try:
+    with open(args.output, "w") as out:
         for rec_id, ctx in records:
-            result = generate(backend, ctx, cfg)
+            try:
+                result = generate(backend, ctx, cfg)
+            except (DecodingError, TimeoutError) as exc:
+                raise BackendFailure(f"record {rec_id!r}: {exc}") from exc
             row = {
                 "id": rec_id,
                 "strategy": cfg.strategy,
@@ -197,10 +197,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             row["stop_reason"] = result.stop_reason
             row["elapsed_s"] = _r6(result.elapsed)
             row["trace"] = [_trace_dict(r) for r in result.per_step]
-            lines.append(json.dumps(row, separators=(",", ":")))
-    except (DecodingError, TimeoutError) as exc:
-        raise BackendFailure(str(exc)) from exc
-    Path(args.output).write_text("".join(line + "\n" for line in lines))
+            out.write(json.dumps(row, separators=(",", ":")) + "\n")
+            out.flush()
     return EXIT_OK
 
 
@@ -239,9 +237,6 @@ _COMPARE_COLUMNS = (
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    backend = build_backend(args.backend)
-    tokenizer = _load_tokenizer(args.vocab)
-    cfg = _merge_config(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -249,23 +244,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InputError(f"bad --seeds value {args.seeds!r}") from exc
     if not strategies or not seeds:
         raise InputError("compare needs at least one strategy and one seed")
-    records = read_records(args.input, backend, tokenizer)
+    backend, _, cfgs, records = _setup(args, [{"strategy": s, "seed": n} for s in strategies for n in seeds])
+    runs = iter(cfgs)  # strategy-major, as built
     rows = []
-    try:
-        for strategy in strategies:
-            per_seed = []
-            for seed in seeds:
-                run_cfg = cfg.replace(strategy=strategy, seed=seed)
-                validate_config(run_cfg, backend.info.vocab_size)
-                per_seed.append(_compare_row(backend, records, run_cfg))
-            row = {"strategy": strategy}
-            for col in _COMPARE_COLUMNS:
-                row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
-            rows.append(row)
-    except RangeError as exc:
-        raise InputError(f"bad config: {exc}") from exc
-    except (DecodingError, TimeoutError) as exc:
-        raise BackendFailure(str(exc)) from exc
+    for strategy in strategies:
+        per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
+        row = {"strategy": strategy}
+        for col in _COMPARE_COLUMNS:
+            row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
+        rows.append(row)
 
     table = {"seeds": seeds, "rows": rows}
     Path(args.output).write_text(json.dumps(table, separators=(",", ":")) + "\n")
@@ -281,30 +268,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    backend = build_backend(args.backend)
-    tokenizer = _load_tokenizer(args.vocab)
-    cfg = _merge_config(args)
-    try:
-        validate_config(cfg, backend.info.vocab_size)
-    except RangeError as exc:
-        raise InputError(f"bad config: {exc}") from exc
-    records = read_records(args.input, backend, tokenizer)
+    backend, tokenizer, (cfg,), records = _setup(args)
     match = [ctx for rec_id, ctx in records if rec_id == args.record_id]
     if not match:
         print(f"record id {args.record_id!r} not found in {args.input}", file=sys.stderr)
         return EXIT_MISSING_RECORD
-    ctx = match[0]
-    eou = backend.info.eou_token_id
-    try:
-        session = _reply_session(generate(backend, ctx, cfg))
-        hidden_all = session.hidden_all
-    except (DecodingError, TimeoutError) as exc:
-        raise BackendFailure(str(exc)) from exc
+    session = _reply_session(generate(backend, match[0], cfg))
     tokens = np.array(session.tokens)
-    keep = tokens != eou
+    keep = tokens != backend.info.eou_token_id
     whitespace = tokenizer.mode == "whitespace"
     labels = [tokenizer.decode([t]) if whitespace else str(t) for t in tokens[keep].tolist()]
-    matrix = similarity_heatmap(hidden_all[keep])
+    matrix = similarity_heatmap(session.hidden_all[keep])
     write_heatmap_csv(args.output, labels, matrix)
     return EXIT_OK
 
@@ -355,6 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. The one place where an error becomes an exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not args.backend:
@@ -364,12 +339,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
+    except RangeError as exc:  # a DecodingError, so caught before it
+        message, code = f"input error: bad config: {exc}", EXIT_INPUT
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BackendFailure as exc:
-        print(f"backend error: {exc}", file=sys.stderr)
-        return EXIT_BACKEND
+        message, code = f"input error: {exc}", EXIT_INPUT
+    except (BackendFailure, DecodingError, TimeoutError) as exc:  # TimeoutError is an OSError
+        message, code = f"backend error: {exc}", EXIT_BACKEND
+    except OSError as exc:  # an output file that cannot be written
+        message, code = f"file error: {exc}", EXIT_INPUT
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -312,3 +312,99 @@ def test_reply_ending_at_the_length_limit(tmp_path, monkeypatch, capsys):
     ):
         assert run([*command, *base, "--output", tmp_path / "o"]) == 3
         assert "prefix length 13 exceeds max_seq_len 12" in capsys.readouterr().err
+
+
+# -- exit codes -------------------------------------------------------------
+#
+# Each row runs one command with one failure: (options replaced or added,
+# expected exit code, a fragment of the message). The files a row names are
+# written by ``failure_files`` under the test's tmp_path.
+
+COMMANDS = {
+    "generate": ["generate", "--strategy", "greedy"],
+    "compare": ["compare", "--strategies", "greedy", "--seeds", "1"],
+    "heatmap": ["heatmap", "--record-id", "a", "--strategy", "greedy"],
+}
+
+FAILURES = {
+    "missing-input": ({"--input": "missing.jsonl"}, 2, "cannot read input"),
+    "non-utf8-input": ({"--input": "non_utf8"}, 2, "cannot read input"),
+    "non-utf8-config": ({"--config": "non_utf8"}, 2, "cannot read config"),
+    "non-utf8-vocab": ({"--vocab": "non_utf8"}, 2, "cannot read vocab file"),
+    "malformed-json": ({"--input": "malformed.jsonl"}, 2, "line 2: invalid JSON"),
+    "out-of-vocab-id": ({"--input": "oov.jsonl"}, 2, "line 2: token id 999 outside vocabulary of size 64"),
+    "eou-in-utterance": ({"--input": "eou.jsonl"}, 2, "line 1: utterance 0 contains the EOU id 63"),
+    "boolean-vocab-id": (
+        {"--input": "text.jsonl", "--vocab": "bool_vocab.json"}, 2, "must map words to integer ids"
+    ),
+    "bad-config-value": ({"--alpha": "2"}, 2, "bad config: alpha"),
+    "unwritable-output": ({"--output": "no_dir/out"}, 2, "no_dir"),
+    "backend-failure": (
+        {"--input": "unscripted.jsonl", "--backend": SCRIPTED, "--m": "4", "--first-k": "4"},
+        3,
+        "no table entry for prefix [1, 4]",
+    ),
+}
+
+ROWS = [(c, f) for c in COMMANDS for f in FAILURES] + [("heatmap", "unknown-record-id")]
+
+
+def failure_files(tmp_path: Path) -> None:
+    (tmp_path / "non_utf8").write_bytes(b"\xff\xfe")
+    (tmp_path / "malformed.jsonl").write_text('{"id": "a", "context_tokens": [[1]]}\n{oops\n')
+    write_records(tmp_path / "oov.jsonl", [{"id": "a", "context_tokens": [[1]]},
+                                           {"id": "b", "context_tokens": [[999]]}])
+    write_records(tmp_path / "eou.jsonl", [{"id": "a", "context_tokens": [[5, 63]]}])
+    write_records(tmp_path / "text.jsonl", [{"id": "a", "context": ["hi there"]}])
+    (tmp_path / "bool_vocab.json").write_text(json.dumps({"<unk>": 0, "hi": True, "there": 5}))
+    write_records(tmp_path / "unscripted.jsonl", [{"id": "a", "context_tokens": [[1]]}])
+
+
+@pytest.mark.parametrize("command,failure", ROWS, ids=[f"{c}-{f}" for c, f in ROWS])
+def test_exit_code_table(tmp_path, records_file, capsys, monkeypatch, command, failure):
+    monkeypatch.chdir(tmp_path)
+    failure_files(tmp_path)
+    if failure == "unknown-record-id":
+        options, code, fragment = {"--record-id": "nope"}, 4, "record id 'nope' not found"
+    else:
+        options, code, fragment = FAILURES[failure]
+    argv = {"--input": str(records_file), "--backend": TINY, "--max-new-tokens": "3",
+            "--output": "out", **options}
+    args = COMMANDS[command] + [a for pair in argv.items() for a in pair]
+    assert run(args) == code
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+def test_generate_streams_lines_and_names_the_failing_record(tmp_path, monkeypatch, capsys):
+    # Record "first" decodes on the scripted table, "second" has no entry.
+    records = tmp_path / "in.jsonl"
+    write_records(records, [{"id": "first", "context_tokens": [[0]]},
+                            {"id": "second", "context_tokens": [[1]]}])
+    out = tmp_path / "o.jsonl"
+    generate, on_disk = cli.generate, []
+
+    def generate_reading_output(backend, ctx, cfg):
+        on_disk.append(out.read_text())
+        return generate(backend, ctx, cfg)
+
+    monkeypatch.setattr(cli, "generate", generate_reading_output)
+    code = run(["generate", "--input", records, "--backend", SCRIPTED, "--strategy", "greedy",
+                "--m", 4, "--first-k", 4, "--max-new-tokens", 2, "--output", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "record 'second': no table entry" in err and "Traceback" not in err
+    (line,) = out.read_text().splitlines()
+    assert json.loads(line)["id"] == "first"
+    assert on_disk == ["", line + "\n"]  # the first line was flushed before the second decode
+
+
+def test_compare_checks_every_config_before_decoding(tmp_path, records_file, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
+    code = run(["compare", "--input", records_file, "--backend", TINY,
+                "--strategies", "greedy,ips,bogus", "--seeds", "1,2", "--output", tmp_path / "o.json"])
+    assert code == 2
+    assert "bad config: strategy" in capsys.readouterr().err
+    assert calls == []
