@@ -64,8 +64,8 @@ class StepOutput:
     """One forward result: probability vector over the vocabulary plus hidden state(s).
 
     ``hidden_all`` is present only when requested and then is one float64
-    (len(prefix), d) matrix: row i is the hidden state of position i. The
-    scripted and remote backends hand out read-only arrays.
+    (len(prefix), d) matrix: row i is the hidden state of position i. Every
+    backend here hands out read-only arrays.
     """
 
     probs: np.ndarray
@@ -208,14 +208,15 @@ class Backend(ABC):
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
     ) -> np.ndarray:
-        """Hidden state of each candidate appended to ``prefix``, as one float64
-        (len(candidates), d) matrix.
+        """Hidden state of each candidate appended to ``prefix``, as one
+        read-only float64 (len(candidates), d) matrix.
 
-        Row i equals forward(prefix + [candidates[i]]).hidden_last;
-        implementations may batch but must match that definition.
+        Row i is forward(prefix + [candidates[i]]).hidden_last. This default
+        computes exactly that, one ``forward`` per candidate; an override must
+        match it within 1e-12, the rule for sessions, not bitwise.
         """
         ids, cands = self._check_candidates(prefix, candidates)
-        return np.array([self.forward(ids + [c]).hidden_last for c in cands], dtype=float)
+        return _read_only([self.forward(ids + [c]).hidden_last for c in cands])
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Start decoding after ``context_tokens``.
@@ -386,6 +387,13 @@ class TinyTransformer(Backend):
     norm. The layer norms have no gain or shift and the MLP has no biases:
     they would be ones and zeros, which change no value. By convention the
     end-of-utterance id is ``vocab_size - 1`` unless overridden.
+
+    ``open``, ``forward`` and ``forward_candidates`` all start from one pass
+    over the sequence that keeps every layer's keys and values, and hand out
+    read-only arrays. ``forward_candidates`` probes that pass's session, so
+    like every cached session it matches ``forward(prefix + [c]).hidden_last``
+    within 1e-12, not bitwise; ``Backend.forward_candidates(model, ...)`` is
+    the bitwise from-scratch probe.
     """
 
     def __init__(
@@ -444,26 +452,23 @@ class TinyTransformer(Backend):
         return self._info
 
     def _qkv(self, x: np.ndarray, blk: dict) -> np.ndarray:
-        """Queries, keys and values of the rows of ``x`` (..., rows, d), as one
-        (3, ..., heads, rows, head_dim) view of one matmul."""
-        *batch, t, d = x.shape
-        n = len(batch)
-        qkv = (x @ blk["wqkv"]).reshape(*batch, t, 3, self._heads, d // self._heads)
-        return qkv.transpose(n + 1, *range(n), n + 2, n, n + 3)
+        """Queries, keys and values of the rows of ``x`` (rows, d), as one
+        (3, heads, rows, head_dim) view of one matmul."""
+        t, d = x.shape
+        return (x @ blk["wqkv"]).reshape(t, 3, self._heads, d // self._heads).transpose(1, 2, 0, 3)
 
-    def _attend(self, x: np.ndarray, layer: int, kv: np.ndarray | None = None) -> np.ndarray:
-        """Causal self-attention within each sequence of ``x`` (batch, t, d);
-        writes the layer's keys and values into ``kv[layer]`` when given."""
-        *batch, t, d = x.shape
+    def _attend(self, x: np.ndarray, layer: int, kv: np.ndarray) -> np.ndarray:
+        """Causal self-attention among the rows of ``x`` (t, d); writes the
+        layer's keys and values into ``kv[layer]``."""
+        t, d = x.shape
         blk = self._blocks[layer]
         qkv = self._qkv(x, blk)
-        if kv is not None:
-            kv[layer] = qkv[1:]
+        kv[layer] = qkv[1:]
         q, k, v = qkv
         scores = q @ k.swapaxes(-1, -2)
         scores /= self._sqrt_head_dim
         att = _causal_softmax(scores)
-        out = (att @ v).swapaxes(-3, -2).reshape(*batch, t, d)
+        out = (att @ v).swapaxes(0, 1).reshape(t, d)
         return out @ blk["wo"]
 
     def _attend_cached(self, x: np.ndarray, layer: int, kv: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -502,18 +507,13 @@ class TinyTransformer(Backend):
         self._check_length(len(ids))
         return ids
 
-    def _encode(self, ids: np.ndarray, kv: np.ndarray | None = None) -> np.ndarray:
-        """The final hidden state of each position of each row of ``ids``, a
-        (batch, t) array of checked ids; writes every layer's keys and values
-        into ``kv``, a (layers, 2, batch, heads, t, head_dim) array, when given.
-
-        Every sequence is computed by the same numpy calls on same-shaped
-        slices as a batch of one, so its states are bitwise the same.
-        """
-        return self._stack(
-            self._tok_emb[ids] + self._pos_emb[: ids.shape[1]],
-            lambda x, layer: self._attend(x, layer, kv),
-        )
+    def _session(self, ids: list[int]) -> "_TinySession":
+        """The one sequence pass: a session over ``ids``, checked ids of at
+        most max_seq_len tokens, holding every layer's keys and values."""
+        kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
+        emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
+        h = self._stack(emb, lambda x, layer: self._attend(x, layer, kv))
+        return _TinySession(self, ids, h, kv)
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
@@ -522,34 +522,24 @@ class TinyTransformer(Backend):
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Encode the context once and keep every layer's keys and values."""
-        ids = self._ids(context_tokens)
-        d = self._info.hidden_dim
-        kv = np.empty((len(self._blocks), 2, 1, self._heads, len(ids), d // self._heads))
-        return _TinySession(self, ids, self._encode(np.array([ids]), kv)[0], kv[:, :, 0])
+        return self._session(self._ids(context_tokens))
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
-        h = self._encode(np.array([self._ids(prefix)]))[0]
-        return StepOutput(self._probs(h[-1]), h[-1], h if want_all_hidden else None)
+        session = self._session(self._ids(prefix))
+        h = session.hidden_all
+        return StepOutput(session.probs, h[-1], h if want_all_hidden else None)
 
     def forward_candidates(
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
     ) -> np.ndarray:
-        """Encode the sequences ``prefix + [c]`` as one batch and return each
-        one's last hidden state.
+        """The probe of a session over ``prefix``: the prefix is encoded once
+        and each candidate is one more row at the next position.
 
-        Bitwise equal to ``forward(prefix + [c]).hidden_last`` for each c, and
-        it raises what ``Backend.forward_candidates`` raises, in the same
-        order. The prefix is encoded once per candidate: the price of
-        equality, since a session probe over a cached prefix agrees only to
-        about 1e-12. The batch holds m times one forward's attention scores.
+        Raises what ``Backend.forward_candidates`` raises, in the same order.
         """
         ids, cands = self._check_candidates(prefix, candidates)
-        t = len(ids) + 1
-        self._check_length(t)
-        seqs = np.empty((len(cands), t), dtype=np.intp)
-        seqs[:, :-1] = ids
-        seqs[:, -1] = cands
-        return self._encode(seqs)[:, -1].copy()
+        self._check_length(len(ids) + 1)
+        return self._session(ids).probe(cands)
 
 
 class _TinySession(Session):
@@ -696,7 +686,11 @@ class RemoteBackend(Backend):
             self._session, self._target, self._headers = _connection(self._url, timeout)
         except (OSError, ValueError) as exc:
             raise ProtocolError(f"cannot connect to {self._url}: {exc}") from exc
-        self._info = _json_info(self._request("GET", "/info"), ProtocolError)
+        try:
+            self._info = _json_info(self._request("GET", "/info"), ProtocolError)
+        except ProtocolError:  # a refused handshake: no instance owns the connection
+            self._session.close()
+            raise
 
     @property
     def info(self) -> BackendInfo:

@@ -245,17 +245,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not strategies or not seeds:
         raise InputError("compare needs at least one strategy and one seed")
     backend, _, cfgs, records = _setup(args, [{"strategy": s, "seed": n} for s in strategies for n in seeds])
-    runs = iter(cfgs)  # strategy-major, as built
-    rows = []
-    for strategy in strategies:
-        per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
-        row = {"strategy": strategy}
-        for col in _COMPARE_COLUMNS:
-            row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
-        rows.append(row)
-
-    table = {"seeds": seeds, "rows": rows}
-    Path(args.output).write_text(json.dumps(table, separators=(",", ":")) + "\n")
+    with open(args.output, "w") as out:  # an unwritable path fails before the first decode
+        runs = iter(cfgs)  # strategy-major, as built
+        rows = []
+        for strategy in strategies:
+            per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
+            row = {"strategy": strategy}
+            for col in _COMPARE_COLUMNS:
+                row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
+            rows.append(row)
+        out.write(json.dumps({"seeds": seeds, "rows": rows}, separators=(",", ":")) + "\n")
     header = f"{'strategy':<12} {'dist2':>9} {'dist4':>9} {'intra_cos':>10} {'ctx_cos':>9} {'elapsed_s':>10}"
     print(header)
     for row in rows:

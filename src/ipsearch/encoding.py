@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import DialogueContext, TokenId
+from .core import DialogueContext, TokenId, _is_integer
 from .errors import ArgumentError
 
 
@@ -48,7 +48,8 @@ def encode_context(ctx: DialogueContext, eou: TokenId) -> EncodedContext:
 class Tokenizer:
     """Deliberately trivial tokenization: pre-tokenized ids or whitespace words.
 
-    Passthrough mode accepts integer token lists only. Whitespace mode splits
+    Passthrough mode accepts lists of token ids only, ints or numpy integers
+    (never a bool or a float), and returns plain ints. Whitespace mode splits
     on whitespace and maps unknown words to ``unk_id``.
     """
 
@@ -68,9 +69,9 @@ class Tokenizer:
                 raise ArgumentError("passthrough tokenizer accepts pre-tokenized integer input only")
             out = []
             for t in utterance:
-                if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+                if not _is_integer(t) or t < 0:
                     raise ArgumentError(f"passthrough token {t!r} is not a non-negative integer")
-                out.append(t)
+                out.append(int(t))
             return out
         if not isinstance(utterance, str):
             raise ArgumentError("whitespace tokenizer accepts strings only")

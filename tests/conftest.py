@@ -17,8 +17,9 @@ def tiny_backend():
 class CountingBackend(Backend):
     """Delegates to ``inner`` and counts the ``forward`` calls made through it.
 
-    ``forward_candidates`` goes straight to ``inner``, so candidate probes are
-    not counted as forwards.
+    ``forward_candidates`` is the from-scratch definition, one ``inner.forward``
+    per candidate, so it stays a reference for cached probes; those forwards
+    are not counted.
     """
 
     def __init__(self, inner: Backend):
@@ -34,7 +35,7 @@ class CountingBackend(Backend):
         return self.inner.forward(prefix, want_all_hidden)
 
     def forward_candidates(self, prefix, candidates):
-        return self.inner.forward_candidates(prefix, candidates)
+        return Backend.forward_candidates(self.inner, prefix, candidates)
 
 
 def make_contexts(count: int, vocab_size: int = 64, eou: int = 63, seed: int = 7):

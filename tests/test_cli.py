@@ -403,8 +403,13 @@ def test_generate_streams_lines_and_names_the_failing_record(tmp_path, monkeypat
 def test_compare_checks_every_config_before_decoding(tmp_path, records_file, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
-    code = run(["compare", "--input", records_file, "--backend", TINY,
-                "--strategies", "greedy,ips,bogus", "--seeds", "1,2", "--output", tmp_path / "o.json"])
-    assert code == 2
-    assert "bad config: strategy" in capsys.readouterr().err
-    assert calls == []
+    unwritable = tmp_path / "missing" / "o.json"
+    for strategies, output, message in [
+        ("greedy,ips,bogus", tmp_path / "o.json", "bad config: strategy"),
+        ("greedy,ips", unwritable, str(unwritable)),  # found before the first decode
+    ]:
+        code = run(["compare", "--input", records_file, "--backend", TINY,
+                    "--strategies", strategies, "--seeds", "1,2", "--output", output])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert calls == []

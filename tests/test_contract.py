@@ -225,38 +225,35 @@ def _backend(kind, tiny, remote):
 
 
 # Hidden states: one float64 matrix per call, whose row i is the hidden state
-# of the i-th position or candidate. What a session or a scripted table hands
-# out is read-only, so nothing a caller writes reaches a later answer.
+# of the i-th position or candidate. What a backend or a session hands out
+# is read-only, so nothing a caller writes reaches a later answer.
 
 KINDS = ("scripted", "tiny", "remote")
 
 HIDDEN_CONTRACT = {
     # entry point: (call on a backend and its session after [2], the prefixes
-    # whose last hidden states are the rows, the kinds that return read-only)
-    "forward hidden_all": (
-        lambda b, s: b.forward([2, 1], want_all_hidden=True).hidden_all, [[2], [2, 1]], {"scripted", "remote"}
-    ),
-    "forward_candidates": (lambda b, s: b.forward_candidates([2], [0, 1]), [[2, 0], [2, 1]], {"remote"}),
-    "open hidden_all": (lambda b, s: s.hidden_all, [[2]], KINDS),
-    "probe": (lambda b, s: s.probe([0, 1]), [[2, 0], [2, 1]], KINDS),
-    "extend hidden_all": (lambda b, s: s.extend(1).hidden_all, [[2], [2, 1]], KINDS),
+    # whose last hidden states are the rows)
+    "forward hidden_all": (lambda b, s: b.forward([2, 1], want_all_hidden=True).hidden_all, [[2], [2, 1]]),
+    "forward_candidates": (lambda b, s: b.forward_candidates([2], [0, 1]), [[2, 0], [2, 1]]),
+    "open hidden_all": (lambda b, s: s.hidden_all, [[2]]),
+    "probe": (lambda b, s: s.probe([0, 1]), [[2, 0], [2, 1]]),
+    "extend hidden_all": (lambda b, s: s.extend(1).hidden_all, [[2], [2, 1]]),
 }
 
 
 @pytest.mark.parametrize("entry", list(HIDDEN_CONTRACT))
 @pytest.mark.parametrize("kind", KINDS)
 def test_hidden_states_are_one_float64_matrix(tiny, remote, kind, entry):
-    call, row_prefixes, read_only = HIDDEN_CONTRACT[entry]
+    call, row_prefixes = HIDDEN_CONTRACT[entry]
     backend = _backend(kind, tiny, remote)
     got = call(backend, backend.open([2]))
     assert type(got) is np.ndarray and got.dtype == np.float64
     assert got.shape == (len(row_prefixes), tiny.info.hidden_dim)
     want = np.array([tiny.forward(p).hidden_last for p in row_prefixes])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
-    if kind in read_only:
-        assert not got.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            got[0] += 1.0
+    assert not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] += 1.0
 
 
 @pytest.mark.parametrize("bad", NOT_TOKEN_IDS, ids=repr)

@@ -110,8 +110,11 @@ class TestTokenizer:
     def test_passthrough_accepts_ints_only(self):
         tok = Tokenizer()
         assert tok.encode([1, 2, 3]) == [1, 2, 3]
-        with pytest.raises(ArgumentError):
-            tok.encode("hello there")
+        got = tok.encode([np.int64(3), 4])
+        assert got == [3, 4] and all(type(t) is int for t in got)
+        for bad in ("hello there", [True], [1.0]):
+            with pytest.raises(ArgumentError):
+                tok.encode(bad)
         assert tok.decode([1, 2]) is None
 
     def test_whitespace_maps_unknown_to_unk(self):

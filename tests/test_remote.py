@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import os
 import shutil
 import ssl
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +176,27 @@ def test_timeout(wrapped):
     with BackendHTTPServer(wrapped, delay=0.5) as server:
         with pytest.raises(TimeoutError):
             RemoteBackend(server.url, timeout=0.05)
+
+
+@pytest.mark.parametrize(
+    "bad_info, message",
+    [
+        (lambda doc: RawBody(b"{}", status=500), "HTTP 500"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "hidden_dim"}, "hidden_dim"),
+    ],
+    ids=["status 500", "no hidden_dim"],
+)
+def test_failed_handshake_closes_the_connection(wrapped, bad_info, message):
+    def transform(path, doc):
+        return bad_info(doc) if path == "/info" else doc
+
+    with BackendHTTPServer(wrapped, transform=transform, keep_alive=True) as server:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(ProtocolError, match=message):
+                RemoteBackend(server.url)
+            gc.collect()  # the half-built client is garbage now
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_vocab_checked_client_side(wrapped):
