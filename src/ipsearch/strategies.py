@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -24,6 +23,7 @@ from .core import (
     StepRecord,
     StrategyConfig,
     TokenId,
+    _is_int,
     validate_config,
 )
 from .encoding import EncodedContext, encode_context
@@ -132,9 +132,7 @@ def beam_search(
     by total log probability with ties going to the lexicographically
     smallest token sequence. Beams that emit EOU are frozen; the
     highest-scoring finished beam wins (best unfinished one at the length
-    cap when none finished), under the same tie rule. The first expansion
-    comes from the session's context pass, and a beam's session is extended
-    by its last token only when the beam goes on.
+    cap when none finished), under the same tie rule.
 
     A beam's extensions are scored in descending-probability order and the
     walk stops a few ulps below its ``width``-th score, so only a handful
@@ -142,70 +140,45 @@ def beam_search(
     the step's top ``width``, ties included, is still scored, so every
     decision is the one an exhaustive width x V ranking makes.
     """
-    if not isinstance(width, int) or width < 1:
+    if not _is_int(width) or width < 1:
         raise RangeError("beam_width", f"must be an integer >= 1, got {width!r}")
-    t0 = time.perf_counter()
-    info = backend.info
-    eou = info.eou_token_id
-    root = backend.open(enc.tokens)
-    utterance_reps = root.hidden_all[list(enc.eou_positions)]
+    if not _is_int(max_new_tokens) or max_new_tokens < 1:
+        raise RangeError("max_new_tokens", f"must be an integer >= 1, got {max_new_tokens!r}")
+    return _decode(backend, enc, width, max_new_tokens, partial(_beam_expansion, width), time.perf_counter())
 
-    # Each beam: (tokens, total logprob, per-token model probs, the session
-    # of the prefix before its last token).
-    Beam = tuple[tuple[int, ...], float, tuple[float, ...], Session]
-    live: list[Beam] = [((), 0.0, (), root)]
-    finished: list[Beam] = []
-    for _ in range(max_new_tokens):
-        candidates = []
-        for tokens, logp, probs_path, session in live:
-            if tokens:
-                session = session.extend(tokens[-1])
-            step_probs = session.probs
-            # Walk descending p. Once the beam holds `width` candidates, none
-            # scoring below the least of them (the cut) can make the step's
-            # top `width`; one tying the cut still can, on the token
-            # tie-break. Tied p may come in any order: they share one score,
-            # so the cut and the set kept do not depend on their order, and
-            # the pooled ranking below orders them by tokens. Scores only
-            # fall along the walk up to math.log's error: under 1 ulp per
-            # call, so a later (smaller) p can outscore an earlier one by
-            # under 2 ulp, plus under 1 ulp from rounding the sum (p <= 1
-            # keeps every score <= 0, so these ulps are at most ulp(cut) for
-            # any score near the cut). The walk therefore stops 4 ulp(cut)
-            # below the cut. A cut of -inf keeps every -inf candidate, as the
-            # exhaustive ranking does.
-            floor = -math.inf
-            kept = 0
-            for t in np.argsort(-step_probs).tolist():
-                pt = float(step_probs[t])
-                lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
-                if lpt < floor:
-                    break
-                candidates.append((tokens + (t,), lpt, probs_path + (pt,), session))
-                kept += 1
-                if kept == width:
-                    cut = min(c[1] for c in candidates[-width:])
-                    floor = cut - 4 * math.ulp(cut)
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        live = []
-        for cand in candidates[:width]:
-            if cand[0][-1] == eou:
-                finished.append(cand)
-            else:
-                live.append(cand)
-        if not live:
-            break
 
-    pool = finished if finished else live
-    tokens, _, probs_path, session = min(pool, key=lambda c: (-c[1], c[0]))
-    return GenerationResult(
-        tokens=list(tokens),
-        per_step=[StepRecord(token=t, prob=p) for t, p in zip(tokens, probs_path)],
-        stop_reason="eou" if tokens and tokens[-1] == eou else "max_len",
-        elapsed=time.perf_counter() - t0,
-        utterance_reps=utterance_reps,
-        session=session,
-    )
+def _beam_expansion(width: int, root: Session, utterance_reps: np.ndarray):
+    """Beam's step rule: a beam's extensions that could make the step's top
+    ``width``, scored by total log probability, with their probabilities."""
+
+    def walk(session: Session, tokens: tuple[int, ...], logp: float) -> list:
+        probs = session.probs
+        # Walk descending p. Once the beam holds `width` candidates, none
+        # scoring below the least of them (the cut) can make the step's top
+        # `width`; one tying the cut still can, on the token tie-break. Tied
+        # p may come in any order: they share one score, so the cut and the
+        # set kept do not depend on their order, and the pooled ranking
+        # orders them by tokens. Scores only fall along the walk up to
+        # math.log's error: under 1 ulp per call, so a later (smaller) p can
+        # outscore an earlier one by under 2 ulp, plus under 1 ulp from
+        # rounding the sum (p <= 1 keeps every score <= 0, so these ulps are
+        # at most ulp(cut) for any score near the cut). The walk therefore
+        # stops 4 ulp(cut) below the cut. A cut of -inf keeps every -inf
+        # candidate, as the exhaustive ranking does.
+        floor = -math.inf
+        kept = []
+        for t in np.argsort(-probs).tolist():
+            pt = float(probs[t])
+            lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
+            if lpt < floor:
+                break
+            kept.append((t, lpt, pt))
+            if len(kept) == width:
+                cut = min(c[1] for c in kept)
+                floor = cut - 4 * math.ulp(cut)
+        return kept
+
+    return walk
 
 
 def _sample_token(rule: str, probs: np.ndarray, cfg: StrategyConfig, rng: Rng) -> TokenId:
@@ -280,70 +253,96 @@ def _search_step(
     return record, best.hidden
 
 
+def _one_token_expansion(cfg: StrategyConfig, root: Session, utterance_reps: np.ndarray):
+    """The step rule of the five other strategies: the one token each step
+    chooses. Only one hypothesis is ever live, so the reply's draw stream
+    and hidden-state rows belong to the rule."""
+    rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
+    rng = Rng(cfg.seed)
+    # The hidden states candidates are compared with, one row each: the
+    # context's, then each generated token's, written as it is chosen.
+    # Contrastive search reads all of them, IPS the generated ones.
+    c, d = root.hidden_all.shape
+    rows = np.empty((c + cfg.max_new_tokens, d))
+    rows[:c] = root.hidden_all
+
+    def choose(session: Session, tokens: tuple[int, ...], _score: float) -> list:
+        n = c + len(tokens)
+        if cfg.strategy == "contrastive":
+            score = partial(_contrastive_scores, rows[:n], cfg.alpha)
+        elif cfg.strategy == "ips" and len(tokens) >= cfg.bootstrap_n:
+            score = partial(_ips_scores, rows[c:n], utterance_reps, cfg)
+        else:
+            probs = session.probs
+            token = _sample_token(rule, probs, cfg, rng)
+            if cfg.strategy == "ips":
+                rows[n] = session.probe([token])[0]
+            return [(token, 0.0, float(probs[token]))]
+        step, rows[n] = _search_step(session, cfg.m, score)
+        return [(step.token, 0.0, step)]
+
+    return choose
+
+
+def _decode(
+    backend: Backend, enc: EncodedContext, width: int, max_new_tokens: int, expansion: Callable, t0: float
+) -> GenerationResult:
+    """The decode loop of every strategy, on one session opened on the context.
+
+    A hypothesis is (tokens, score, steps, the session before its last
+    token). ``expansion(root, utterance_reps)`` gives the step rule, which
+    maps a live hypothesis's session, tokens and score to its (token, score,
+    step) extensions; a step is a StepRecord, or a bare probability built
+    into one only for the winner. Each step keeps the ``width`` best by
+    (-score, tokens) and freezes those ending in EOU; the best finished one
+    wins, or the best live one at the length cap. A session is extended by
+    a hypothesis's last token only when it goes on.
+    """
+    eou = backend.info.eou_token_id
+    root = backend.open(enc.tokens)
+    utterance_reps = root.hidden_all[list(enc.eou_positions)]
+    expand = expansion(root, utterance_reps)
+    live = [((), 0.0, (), root)]
+    finished = []
+    for _ in range(max_new_tokens):
+        pool = []
+        for tokens, score, steps, session in live:
+            if tokens:
+                session = session.extend(tokens[-1])
+            for t, s, step in expand(session, tokens, score):
+                pool.append((tokens + (t,), s, steps + (step,), session))
+        pool.sort(key=lambda h: (-h[1], h[0]))
+        live = []
+        for hyp in pool[:width]:
+            (finished if hyp[0][-1] == eou else live).append(hyp)
+        if not live:
+            break
+    tokens, _, steps, session = min(finished or live, key=lambda h: (-h[1], h[0]))
+    return GenerationResult(
+        tokens=list(tokens),
+        per_step=[StepRecord(t, s) if isinstance(s, float) else s for t, s in zip(tokens, steps)],
+        stop_reason="eou" if tokens[-1] == eou else "max_len",
+        elapsed=time.perf_counter() - t0,
+        utterance_reps=utterance_reps,
+        session=session,
+    )
+
+
 def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> GenerationResult:
     """Run one full generation: encode, cache utterance representations, decode.
 
-    Stops at the first generated EOU or at max_new_tokens. Decoding runs on
-    one backend session: opening it encodes the context, which supplies the
-    utterance representations and the first step's distribution, and each
-    later step extends it by the chosen token. The contrastive and
-    isotropic-proximal strategies probe the model's top-m candidates on the
-    session; for the latter, the first bootstrap_n steps use the configured
-    bootstrap rule, and later steps are deterministic given the prefix.
+    Stops at the first generated EOU or at max_new_tokens. Every strategy
+    runs the one decode loop on one backend session: beam keeps
+    ``beam_width`` hypotheses, and the others one, extended by the token
+    each step chooses. The contrastive and isotropic-proximal strategies
+    probe the model's top-m candidates on the session; for the latter, the
+    first bootstrap_n steps use the configured bootstrap rule, and later
+    steps are deterministic given the prefix.
     """
     info = backend.info
     validate_config(cfg, info.vocab_size)
     t0 = time.perf_counter()
     enc = encode_context(ctx, info.eou_token_id)
-
-    if cfg.strategy == "beam":
-        result = beam_search(backend, enc, cfg.beam_width, cfg.max_new_tokens)
-        return replace(result, elapsed=time.perf_counter() - t0)
-
-    session = backend.open(enc.tokens)
-    context_hidden = session.hidden_all
-    utterance_reps = context_hidden[list(enc.eou_positions)]
-    rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
-    rng = Rng(cfg.seed)
-    records: list[StepRecord] = []
-    generated: list[int] = []
-    stop_reason = "max_len"
-    # The hidden states candidates are compared with, one row each: the
-    # context's, then each generated token's, written as it is chosen.
-    # Contrastive search reads all of them, IPS the generated ones.
-    c = len(context_hidden)
-    rows = np.empty((c + cfg.max_new_tokens, info.hidden_dim))
-    rows[:c] = context_hidden
-
-    while True:
-        n = c + len(generated)
-        if cfg.strategy == "contrastive":
-            score = partial(_contrastive_scores, rows[:n], cfg.alpha)
-            record, rows[n] = _search_step(session, cfg.m, score)
-        elif cfg.strategy == "ips" and len(generated) >= cfg.bootstrap_n:
-            score = partial(_ips_scores, rows[c:n], utterance_reps, cfg)
-            record, rows[n] = _search_step(session, cfg.m, score)
-        else:
-            probs = session.probs
-            token = _sample_token(rule, probs, cfg, rng)
-            record = StepRecord(token=token, prob=float(probs[token]))
-            if cfg.strategy == "ips":
-                rows[n] = session.probe([token])[0]
-
-        generated.append(record.token)
-        records.append(record)
-        if record.token == info.eou_token_id:
-            stop_reason = "eou"
-            break
-        if len(generated) == cfg.max_new_tokens:
-            break
-        session = session.extend(record.token)
-
-    return GenerationResult(
-        tokens=generated,
-        per_step=records,
-        stop_reason=stop_reason,
-        elapsed=time.perf_counter() - t0,
-        utterance_reps=utterance_reps,
-        session=session,
-    )
+    beam = cfg.strategy == "beam"
+    expansion = partial(_beam_expansion, cfg.beam_width) if beam else partial(_one_token_expansion, cfg)
+    return _decode(backend, enc, cfg.beam_width if beam else 1, cfg.max_new_tokens, expansion, t0)

@@ -1,7 +1,9 @@
 """Step rules, beam search, contrastive and isotropic-proximal steps, generate()."""
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 from unittest import mock
 
@@ -194,6 +196,59 @@ class TestBeamSearch:
         enc = encode_context(ctx, backend.info.eou_token_id)
         with pytest.raises(RangeError):
             beam_search(backend, enc, width=0, max_new_tokens=2)
+
+    @pytest.mark.parametrize("max_new_tokens", [0, -3, True, 1.5])
+    def test_bad_max_new_tokens_is_refused_as_generate_refuses_it(self, max_new_tokens):
+        backend, ctx = random_scripted(seed=1)
+        enc = encode_context(ctx, backend.info.eou_token_id)
+        cfg = StrategyConfig(strategy="beam", beam_width=2, max_new_tokens=max_new_tokens, m=3, bootstrap_k=3)
+        messages = []
+        for decode in (lambda: beam_search(backend, enc, 2, max_new_tokens), lambda: generate(backend, ctx, cfg)):
+            with pytest.raises(RangeError) as exc:
+                decode()
+            messages.append(str(exc.value))
+        assert messages == [f"max_new_tokens: must be an integer >= 1, got {max_new_tokens!r}"] * 2
+
+
+class RecordingBackend(CountingBackend):
+    """``CountingBackend`` that also logs each ``forward`` (prefix,
+    want_all_hidden) and ``forward_candidates`` (prefix, candidates) call."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.log = []
+
+    def forward(self, prefix, want_all_hidden=False):
+        self.log.append(["forward", [int(t) for t in prefix], want_all_hidden])
+        return super().forward(prefix, want_all_hidden)
+
+    def forward_candidates(self, prefix, candidates):
+        self.log.append(["forward_candidates", [int(t) for t in prefix], [int(c) for c in candidates]])
+        return super().forward_candidates(prefix, candidates)
+
+
+# sha256 of each strategy's call log in test_backend_call_log_is_pinned.
+CALL_LOG_SHA256 = {
+    "greedy": "ad394dab86dae48f10a20192b959f86e559eb2dadc971f48ced0e03af5097c8c",
+    "beam": "d27023b9c8e867924c4ca39ddb41ad4377fae096eed991ea42df5f0715793bd4",
+    "topk": "085c3391d5a3b890ede11c22d3a95c1b1d578ff8a14c77ff676099efb77a438d",
+    "nucleus": "39da0d693090bf7e58f06e4b1aa5d17e36c161e6ec84c6f2bb75d0a8edae0771",
+    "contrastive": "badedd8d15d6e9133818dd517d1280242a87111c2831e4975dba024a9f73b2c9",
+    "ips": "ad245879de5d7fe5610c29f3f77e195a8100b1e19094259b9d2907cee2b6768d",
+}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_backend_call_log_is_pinned(tiny_backend, contexts24, strategy):
+    # Every model call the decoder makes, in order, over eight replies on the
+    # from-scratch session: a change to the loop that adds, drops or reorders
+    # a forward or a probe fails here, even where the replies stay the same.
+    backend = RecordingBackend(tiny_backend)
+    cfg = StrategyConfig(strategy=strategy, beam_width=3, seed=3)
+    for ctx in contexts24[:8]:
+        generate(backend, ctx, cfg)
+    digest = hashlib.sha256(json.dumps(backend.log).encode()).hexdigest()
+    assert digest == CALL_LOG_SHA256[strategy], f"{strategy}: {len(backend.log)} calls, sha256 {digest}"
 
 
 def tied_scripted(seed: int, vocab_size: int, eou: int, depth: int, nudge: bool):
