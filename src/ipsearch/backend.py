@@ -145,11 +145,14 @@ class Session:
     that so, ``probs``, ``hidden_all`` and the matrices ``probe`` returns
     are read-only. A session has a single owner and is not thread-safe.
 
-    This base class computes from scratch with ``backend.forward`` and
-    ``backend.forward_candidates``. An opened session holds the context
-    pass; a longer one fetches ``probs`` with ``forward`` on first read,
-    and ``hidden_all`` with one ``forward(tokens, want_all_hidden=True)``.
-    Backends that cache override ``Backend.open`` and return a subclass.
+    ``probe`` is the one place where candidate rows are computed. This base
+    class computes from scratch with ``backend.forward``, each value on
+    first read: ``hidden_all`` with one ``forward(tokens,
+    want_all_hidden=True)``, whose ``probs`` it keeps, ``probs`` otherwise
+    with one ``forward(tokens)``, and a probe with one ``forward(tokens +
+    [c])`` per candidate, so its ``probe`` is the bitwise from-scratch
+    reference. A backend that caches or batches overrides ``Backend.open``
+    and returns a subclass.
     """
 
     def __init__(self, backend: "Backend", tokens: list[int], hidden_all=None, probs=None):
@@ -167,7 +170,10 @@ class Session:
     @property
     def hidden_all(self) -> np.ndarray:
         if self._hidden_all is None:
-            self._hidden_all = _read_only(self._backend.forward(self.tokens, want_all_hidden=True).hidden_all)
+            out = self._backend.forward(self.tokens, want_all_hidden=True)
+            self._hidden_all = _read_only(out.hidden_all)
+            if self._probs is None:
+                self._probs = _read_only(out.probs)
         return self._hidden_all
 
     def _next_probs(self) -> np.ndarray:
@@ -176,24 +182,26 @@ class Session:
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         """Hidden state of each candidate, as if appended to the prefix: one
         read-only (len(candidates), d) matrix."""
-        return _read_only(self._backend.forward_candidates(self.tokens, candidates))
+        _, cands = self._backend._check_candidates([], candidates)
+        return _read_only([self._backend.forward(self.tokens + [c]).hidden_last for c in cands])
 
     def extend(self, token: TokenId) -> "Session":
-        """The session one token longer."""
-        self._backend._check_tokens([token], "token")
-        return Session(self._backend, self.tokens + [int(token)])
+        """The session one token longer, of this session's class."""
+        (token,) = self._backend._check_tokens([token], "token")
+        return type(self)(self._backend, self.tokens + [token])
 
 
 class Backend(ABC):
-    """Abstract model interface.
+    """Abstract model interface: implement ``info`` and ``forward``.
 
     ``forward`` is a pure function of (backend identity, prefix,
     want_all_hidden); implementations must be safe for concurrent calls
     from several threads.
-    The decoders work through ``open``: its default builds a ``Session`` on
-    ``forward`` and ``forward_candidates``, and a backend that can reuse
-    work across steps overrides it. Overriding sessions must match the
-    from-scratch ``forward`` within 1e-12, not bitwise.
+    The decoders work through ``open`` and the ``Session`` it returns; the
+    default is the base session, which computes from scratch. A backend
+    that caches or batches overrides ``open`` and returns a ``Session``
+    subclass, whose outputs must match the from-scratch ones within 1e-12,
+    not bitwise.
     """
 
     @property
@@ -209,24 +217,20 @@ class Backend(ABC):
         self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
     ) -> np.ndarray:
         """Hidden state of each candidate appended to ``prefix``, as one
-        read-only float64 (len(candidates), d) matrix.
+        read-only float64 (len(candidates), d) matrix whose row i matches
+        forward(prefix + [candidates[i]]).hidden_last.
 
-        Row i is forward(prefix + [candidates[i]]).hidden_last. This default
-        computes exactly that, one ``forward`` per candidate; an override must
-        match it within 1e-12, the rule for sessions, not bitwise.
+        A convenience over ``open(prefix).probe(candidates)``, with the
+        candidates checked first. An empty prefix is probed on the base
+        ``Session``: one ``forward`` per candidate alone.
         """
         ids, cands = self._check_candidates(prefix, candidates)
-        return _read_only([self.forward(ids + [c]).hidden_last for c in cands])
+        return (self.open(ids) if ids else Session(self, ids)).probe(cands)
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
-        """Start decoding after ``context_tokens``.
-
-        The default runs one ``forward`` with every hidden state; later
-        distributions and probes are from-scratch ``forward`` and
-        ``forward_candidates`` calls.
-        """
-        out = self.forward(list(context_tokens), want_all_hidden=True)
-        return Session(self, [int(t) for t in context_tokens], out.hidden_all, out.probs)
+        """Start decoding after ``context_tokens``: the base session, which
+        runs nothing until it is read."""
+        return Session(self, self._check_prefix(context_tokens))
 
     def _check_prefix(self, prefix: Sequence[TokenId]) -> list[int]:
         if len(prefix) == 0:
@@ -388,12 +392,11 @@ class TinyTransformer(Backend):
     they would be ones and zeros, which change no value. By convention the
     end-of-utterance id is ``vocab_size - 1`` unless overridden.
 
-    ``open``, ``forward`` and ``forward_candidates`` all start from one pass
-    over the sequence that keeps every layer's keys and values, and hand out
-    read-only arrays. ``forward_candidates`` probes that pass's session, so
-    like every cached session it matches ``forward(prefix + [c]).hidden_last``
-    within 1e-12, not bitwise; ``Backend.forward_candidates(model, ...)`` is
-    the bitwise from-scratch probe.
+    ``open`` and ``forward`` both run one pass over the sequence that keeps
+    every layer's keys and values, and hand out read-only arrays. A session
+    probes its candidates as rows at the next position on that cache, so
+    they match ``forward(prefix + [c]).hidden_last`` within 1e-12, not
+    bitwise; ``Session(model, prefix).probe(...)`` is the bitwise probe.
     """
 
     def __init__(
@@ -528,18 +531,6 @@ class TinyTransformer(Backend):
         session = self._session(self._ids(prefix))
         h = session.hidden_all
         return StepOutput(session.probs, h[-1], h if want_all_hidden else None)
-
-    def forward_candidates(
-        self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> np.ndarray:
-        """The probe of a session over ``prefix``: the prefix is encoded once
-        and each candidate is one more row at the next position.
-
-        Raises what ``Backend.forward_candidates`` raises, in the same order.
-        """
-        ids, cands = self._check_candidates(prefix, candidates)
-        self._check_length(len(ids) + 1)
-        return self._session(ids).probe(cands)
 
 
 class _TinySession(Session):
@@ -758,11 +749,18 @@ class RemoteBackend(Backend):
         out = StepOutput(probs, _field(doc, "hidden_last"), hidden_all)
         return _checked_output(out, self._info, len(ids), ProtocolError)
 
-    def forward_candidates(
-        self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> np.ndarray:
-        ids, cands = self._check_candidates(prefix, candidates)
-        doc = self._request("POST", "/forward_batch", {"prefix": ids, "candidates": cands})
-        shape = (len(cands), self._info.hidden_dim)
-        return _array(_field(doc, "hidden"), shape, "hidden", ProtocolError)
+    def open(self, context_tokens: Sequence[TokenId]) -> Session:
+        """The base session, with each probe one ``/forward_batch`` request."""
+        return _RemoteSession(self, self._check_prefix(context_tokens))
 
+
+class _RemoteSession(Session):
+    """Session on a ``RemoteBackend`` whose probe is one ``/forward_batch``
+    request; the rest is the base session's ``/forward`` requests."""
+
+    def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
+        remote = self._backend
+        _, cands = remote._check_candidates([], candidates)
+        doc = remote._request("POST", "/forward_batch", {"prefix": self.tokens, "candidates": cands})
+        shape = (len(cands), remote.info.hidden_dim)
+        return _array(_field(doc, "hidden"), shape, "hidden", ProtocolError)

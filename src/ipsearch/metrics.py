@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GenerationResult, TokenId
+from .core import GenerationResult, TokenId, _is_int
 from .errors import ArgumentError
 from .scoring import _as_array, cosine, isotropic_value, response_representation
 
@@ -18,7 +18,7 @@ def distinct_n(responses: Sequence[Sequence[TokenId]], n: int) -> float:
 
     Responses shorter than n contribute nothing; an empty pool yields 0.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     total = 0
     unique: set[tuple[int, ...]] = set()

@@ -24,6 +24,7 @@ from .core import (
     StrategyConfig,
     TokenId,
     _is_int,
+    _is_real,
     validate_config,
 )
 from .encoding import EncodedContext, encode_context
@@ -68,7 +69,7 @@ def greedy_step(probs) -> TokenId:
 def topk_set(probs, k: int) -> list[TokenId]:
     """The k highest-probability ids, ties resolved toward lower ids first."""
     v = _as_probs(probs)
-    if not isinstance(k, int) or not 1 <= k <= v.shape[0]:
+    if not _is_int(k) or not 1 <= k <= v.shape[0]:
         raise RangeError("k", f"must be an integer in [1, {v.shape[0]}], got {k!r}")
     neg = -v
     # The ids at or above the k-th largest value, in id order, hold the
@@ -89,7 +90,7 @@ def nucleus_set(probs, p: float) -> list[TokenId]:
     vocabulary.
     """
     v = _as_probs(probs)
-    if not isinstance(p, (int, float)) or not 0.0 < p <= 1.0:
+    if not _is_real(p) or not 0.0 < p <= 1.0:
         raise RangeError("p", f"must lie in (0, 1], got {p!r}")
     order = np.argsort(-v, kind="stable")
     # cumsum adds in sequence, so each partial sum is the running float sum.

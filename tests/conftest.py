@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ipsearch import Backend, BackendInfo, DialogueContext, ScriptedBackend, StepOutput, TinyTransformer
+from ipsearch import Backend, BackendInfo, DialogueContext, ScriptedBackend, Session, StepOutput, TinyTransformer
 
 TINY_ARGS = dict(seed=42, vocab_size=64, hidden_dim=16, layers=2, heads=2)
 
@@ -17,9 +17,11 @@ def tiny_backend():
 class CountingBackend(Backend):
     """Delegates to ``inner`` and counts the ``forward`` calls made through it.
 
-    ``forward_candidates`` is the from-scratch definition, one ``inner.forward``
-    per candidate, so it stays a reference for cached probes; those forwards
-    are not counted.
+    Its sessions compute from scratch as the base ``Session`` does, but
+    probe through ``forward_candidates``: the base session's probe on
+    ``inner``, one ``inner.forward`` per candidate, so its decodes stay a
+    bitwise reference for cached sessions; those forwards are not counted.
+    A subclass can log each probe by overriding ``forward_candidates``.
     """
 
     def __init__(self, inner: Backend):
@@ -35,7 +37,15 @@ class CountingBackend(Backend):
         return self.inner.forward(prefix, want_all_hidden)
 
     def forward_candidates(self, prefix, candidates):
-        return Backend.forward_candidates(self.inner, prefix, candidates)
+        return Session(self.inner, list(prefix)).probe(candidates)
+
+    def open(self, context_tokens):
+        return _CountingSession(self, self._check_prefix(context_tokens))
+
+
+class _CountingSession(Session):
+    def probe(self, candidates):
+        return self._backend.forward_candidates(self.tokens, candidates)
 
 
 def make_contexts(count: int, vocab_size: int = 64, eou: int = 63, seed: int = 7):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from ipsearch import (
     ArgumentError,
-    Backend,
     BackendInfo,
     MissingEntryError,
     ScriptedBackend,
+    Session,
     StepOutput,
     TinyTransformer,
     ValidationError,
@@ -319,7 +319,7 @@ class TestBatchedEncoder:
     def test_forward_candidates_error_parity(self, prefix, candidates):
         model = TinyTransformer(**TINY_ARGS, max_seq_len=8)
         got = _outcome(lambda: model.forward_candidates(prefix, candidates))
-        want = _outcome(lambda: Backend.forward_candidates(model, prefix, candidates))
+        want = _outcome(lambda: Session(model, list(prefix)).probe(candidates))
         if isinstance(want, tuple):  # the same error type and message
             assert got == want
         else:

@@ -10,11 +10,11 @@ import pytest
 
 from ipsearch import (
     ArgumentError,
-    Backend,
     BackendInfo,
     ProtocolError,
     RemoteBackend,
     ScriptedBackend,
+    Session,
     StepOutput,
     TinyTransformer,
     ValidationError,
@@ -205,11 +205,40 @@ def test_candidate_arguments_agree_across_backends(tiny, remote, kind, prefix, c
     got = _outcome(lambda: backend.forward_candidates(prefix, candidates))
     if error is not None:
         assert got == error
-        assert _outcome(lambda: Backend.forward_candidates(backend, prefix, candidates)) == error
+        assert _outcome(lambda: Session(backend, list(prefix)).probe(candidates)) == error
     else:
         assert len(got) == len(candidates)
         for g, w in zip(got, tiny.forward_candidates(prefix, candidates)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+class LoggedScripted(ScriptedBackend):
+    """``ScriptedBackend`` that logs the prefix of each ``forward``."""
+
+    def __init__(self, info, table):
+        super().__init__(info, table)
+        self.prefixes = []
+
+    def forward(self, prefix, want_all_hidden=False):
+        self.prefixes.append([int(t) for t in prefix])
+        return super().forward(prefix, want_all_hidden)
+
+
+@pytest.mark.parametrize("via", ["forward_candidates", "/forward_batch"])
+def test_a_probe_needs_no_table_entry_for_its_prefix(tiny, via):
+    # The table holds the probed sequences but not the prefix [2]: opening a
+    # session runs nothing, so the probe makes one forward per candidate and
+    # none on the prefix, in process and behind the wire server alike.
+    table = {(2, c): tiny.forward([2, c]) for c in (5, 7)}
+    scripted = LoggedScripted(tiny.info, table)
+    if via == "forward_candidates":
+        rows = scripted.forward_candidates([2], [5, 7])
+    else:
+        with BackendHTTPServer(scripted) as server:
+            rows = RemoteBackend(server.url).forward_candidates([2], [5, 7])
+            assert server.requests["/forward_batch"] == 1
+    assert [h.tobytes() for h in rows] == [table[(2, c)].hidden_last.tobytes() for c in (5, 7)]
+    assert scripted.prefixes == [[2, 5], [2, 7]]
 
 
 # Token ids: an int or a numpy integer, never a bool, numpy's bool_ or a

@@ -40,6 +40,8 @@ class TestDistinctN:
     def test_bad_n(self):
         with pytest.raises(ArgumentError):
             distinct_n([[1, 2]], 0)
+        with pytest.raises(ArgumentError):  # a bool is not an n-gram length
+            distinct_n([[1, 2]], True)
 
     @given(corpus, st.integers(1, 4))
     @settings(max_examples=100)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ipsearch import (
     ArgumentError,
+    Backend,
     DialogueContext,
     StrategyConfig,
     TinyTransformer,
@@ -174,22 +175,44 @@ def test_every_strategy_stops_at_the_length_limit(strategy):
         generate(model, ctx, StrategyConfig(strategy=strategy, max_new_tokens=8, seed=1))
 
 
+class SessionOnlyBackend(Backend):
+    """``info`` and ``forward`` over ``inner`` and nothing more; asking it
+    for candidates outside a session raises."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+
+    @property
+    def info(self):
+        return self.inner.info
+
+    def forward(self, prefix, want_all_hidden=False):
+        return self.inner.forward(prefix, want_all_hidden)
+
+    def forward_candidates(self, prefix, candidates):
+        raise AssertionError("candidates asked for outside a session")
+
+
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_cached_session_decides_like_from_scratch(tiny_backend, contexts24, strategy):
-    # CountingBackend keeps the default Backend.open, which works from forward
-    # and forward_candidates alone.
+    # Both backends decode on sessions that compute from scratch, one forward
+    # per distribution and per probed candidate. CountingBackend's sessions
+    # probe through its forward_candidates; SessionOnlyBackend keeps the
+    # default open, so the decoders must ask for candidates only through
+    # the session.
     for i, ctx in enumerate(contexts24):
         cfg = StrategyConfig(strategy=strategy, max_new_tokens=12, seed=i)
         cached = generate(tiny_backend, ctx, cfg)
-        scratch = generate(CountingBackend(tiny_backend), ctx, cfg)
-        assert cached.tokens == scratch.tokens
-        assert cached.stop_reason == scratch.stop_reason
-        for a, b in zip(cached.per_step, scratch.per_step, strict=True):
-            for field in ("prob", "score", "p_value", "i_value"):
-                x, y = getattr(a, field), getattr(b, field)
-                assert (x is None) == (y is None)
-                if x is not None:
-                    assert abs(x - y) <= 1e-12, (field, x, y)
+        for backend in (CountingBackend(tiny_backend), SessionOnlyBackend(tiny_backend)):
+            scratch = generate(backend, ctx, cfg)
+            assert cached.tokens == scratch.tokens
+            assert cached.stop_reason == scratch.stop_reason
+            for a, b in zip(cached.per_step, scratch.per_step, strict=True):
+                for field in ("prob", "score", "p_value", "i_value"):
+                    x, y = getattr(a, field), getattr(b, field)
+                    assert (x is None) == (y is None)
+                    if x is not None:
+                        assert abs(x - y) <= 1e-12, (field, x, y)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -79,6 +79,8 @@ class TestTopkStep:
             topk_step([0.5, 0.5], 3, Rng(0))
         with pytest.raises(RangeError):
             topk_step([0.5, 0.5], 0, Rng(0))
+        with pytest.raises(RangeError):  # a bool is not a count
+            topk_step([0.5, 0.5], True, Rng(0))
 
     def test_set_tie_breaks_low_first(self):
         assert topk_set([0.4, 0.3, 0.3], 2) == [0, 1]
@@ -101,6 +103,8 @@ class TestNucleusStep:
             nucleus_step([1.0, 0.0], 0.0, Rng(0))
         with pytest.raises(RangeError):
             nucleus_step([1.0, 0.0], 1.5, Rng(0))
+        with pytest.raises(RangeError):  # a bool is not a mass
+            nucleus_step([1.0, 0.0], True, Rng(0))
 
 
 @given(
