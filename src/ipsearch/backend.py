@@ -20,7 +20,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 from urllib.parse import unquote, urlsplit
 from urllib.request import getproxies_environment, proxy_bypass_environment
 
@@ -341,25 +341,32 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _causal_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax of each row of the trailing (t, t) blocks of ``scores`` over the
-    columns at or before the row; later columns get exactly 0.0.
+def _masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax of each row of ``scores`` over the columns where the boolean
+    ``mask`` (its trailing two axes, broadcast over the leading ones) is
+    True, at least one per row; the other columns get exactly 0.0.
 
     Works in place: ``scores`` is overwritten and returned, so the caller
     must own it and not read it afterwards.
 
-    Bitwise ``_softmax(scores + mask)`` with -inf above the diagonal: the
-    masked entries are never exponentiated (exp(-inf) is numpy's slow path)
-    and are set to the 0.0 it would give.
+    Bitwise ``_softmax(scores + m)`` with m -inf where ``mask`` is False.
+    exp(-inf) is numpy's slow path, and a loop under ``where=`` is slower per
+    entry than a plain one: few masked entries (a probe, a short context)
+    are set to -inf, many (a long causal block) are never exponentiated and
+    are set to the 0.0 exp(-inf) would give.
     """
-    t = scores.shape[-1]
-    causal = np.tri(t, dtype=bool)
+    hidden = ~mask
+    # Measured on a 2-core x86-64: -inf is faster up to ~760 masked scores
+    # (any probe of 6), the loops from ~1560. Under 1024 scores, no count.
+    if scores.size < 1024 or np.count_nonzero(hidden) * (scores.size // hidden.size) < 1024:
+        np.copyto(scores, -np.inf, where=hidden)
+        return _softmax(scores)
     z = np.subtract(
-        scores, np.maximum.reduce(scores, axis=-1, keepdims=True, where=causal, initial=-np.inf), out=scores
+        scores, np.maximum.reduce(scores, axis=-1, keepdims=True, where=mask, initial=-np.inf), out=scores
     )
-    np.exp(z, where=causal, out=z)
+    np.exp(z, where=mask, out=z)
     # The masked entries still hold their finite differences.
-    np.copyto(z, 0.0, where=~causal)
+    np.copyto(z, 0.0, where=hidden)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
@@ -392,8 +399,10 @@ class TinyTransformer(Backend):
     they would be ones and zeros, which change no value. By convention the
     end-of-utterance id is ``vocab_size - 1`` unless overridden.
 
-    ``open`` and ``forward`` both run one pass over the sequence that keeps
-    every layer's keys and values, and hand out read-only arrays. A session
+    Every pass runs one attention kernel: new rows over the cached keys and
+    values (possibly none) and their own, under a mask. ``open`` and
+    ``forward`` both run one causal pass over the sequence that keeps every
+    layer's keys and values, and hand out read-only arrays. A session
     probes its candidates as rows at the next position on that cache, so
     they match ``forward(prefix + [c]).hidden_last`` within 1e-12, not
     bitwise; ``Session(model, prefix).probe(...)`` is the bitwise probe.
@@ -454,49 +463,31 @@ class TinyTransformer(Backend):
     def info(self) -> BackendInfo:
         return self._info
 
-    def _qkv(self, x: np.ndarray, blk: dict) -> np.ndarray:
-        """Queries, keys and values of the rows of ``x`` (rows, d), as one
-        (3, heads, rows, head_dim) view of one matmul."""
-        t, d = x.shape
-        return (x @ blk["wqkv"]).reshape(t, 3, self._heads, d // self._heads).transpose(1, 2, 0, 3)
-
-    def _attend(self, x: np.ndarray, layer: int, kv: np.ndarray) -> np.ndarray:
-        """Causal self-attention among the rows of ``x`` (t, d); writes the
-        layer's keys and values into ``kv[layer]``."""
-        t, d = x.shape
+    def _attend(
+        self, x: np.ndarray, layer: int, past: np.ndarray, new: np.ndarray, mask: np.ndarray
+    ) -> np.ndarray:
+        """Self-attention of the rows of ``x`` (r, d) over the columns
+        ``[cache | rows]``: the cached keys and values ``past`` (2, heads, c,
+        head_dim), c possibly 0, then the rows' own, which it writes into
+        ``new`` (2, heads, r, head_dim). Row i sees column j where the boolean
+        (r, c + r) ``mask`` is True."""
+        r, d = x.shape
         blk = self._blocks[layer]
-        qkv = self._qkv(x, blk)
-        kv[layer] = qkv[1:]
+        qkv = (x @ blk["wqkv"]).reshape(r, 3, self._heads, d // self._heads).transpose(1, 2, 0, 3)
+        new[...] = qkv[1:]
         q, k, v = qkv
+        if past.shape[-2]:
+            k, v = np.concatenate([past, new], axis=-2)
         scores = q @ k.swapaxes(-1, -2)
         scores /= self._sqrt_head_dim
-        att = _causal_softmax(scores)
-        out = (att @ v).swapaxes(0, 1).reshape(t, d)
-        return out @ blk["wo"]
+        att = _masked_softmax(scores, mask)
+        return (att @ v).swapaxes(0, 1).reshape(r, d) @ blk["wo"]
 
-    def _attend_cached(self, x: np.ndarray, layer: int, kv: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Attention of alternative next positions: each row of ``x`` (m, d)
-        sees the prefix's cached keys and values ``kv[layer]`` and itself, not
-        the other rows. Writes the rows' own keys and values into ``rows[layer]``."""
-        m, d = x.shape
-        blk = self._blocks[layer]
-        keys, values = kv[layer]
-        qkv = self._qkv(x, blk)
-        rows[layer] = qkv[1:]
-        q, k, v = qkv
-        own = np.add.reduce(q * k, axis=-1, keepdims=True)
-        scores = np.concatenate([q @ keys.swapaxes(-1, -2), own], axis=-1)
-        scores /= self._sqrt_head_dim
-        att = _softmax(scores)
-        out = att[..., :-1] @ values
-        out += att[..., -1:] * v
-        return out.transpose(1, 0, 2).reshape(m, d) @ blk["wo"]
-
-    def _stack(self, x: np.ndarray, attend: Callable[[np.ndarray, int], np.ndarray]) -> np.ndarray:
-        """The blocks of ``forward`` and the closing norm, with ``attend(x, layer)``
-        as each block's attention."""
+    def _stack(self, x: np.ndarray, past: np.ndarray, new: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The blocks of ``forward`` and the closing norm over the rows ``x``;
+        block l attends over ``past[l]`` and writes into ``new[l]`` under ``mask``."""
         for layer, blk in enumerate(self._blocks):
-            x = x + attend(_layer_norm(x), layer)
+            x = x + self._attend(_layer_norm(x), layer, past[layer], new[layer], mask)
             x = x + _gelu(_layer_norm(x) @ blk["w1"]) @ blk["w2"]
         return _layer_norm(x)
 
@@ -515,7 +506,8 @@ class TinyTransformer(Backend):
         most max_seq_len tokens, holding every layer's keys and values."""
         kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
         emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
-        h = self._stack(emb, lambda x, layer: self._attend(x, layer, kv))
+        # A causal block over an empty cache: kv's first zero positions.
+        h = self._stack(emb, kv[:, :, :, :0], kv, np.tri(len(ids), dtype=bool))
         return _TinySession(self, ids, h, kv)
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
@@ -536,8 +528,9 @@ class TinyTransformer(Backend):
 class _TinySession(Session):
     """Session over a TinyTransformer's key/value cache.
 
-    A probe runs its candidates as one batch of rows at the next position,
-    each attending to the cache and to itself; extending by a probed token
+    A probe runs its candidates as one batch of rows at the next position
+    through the model's attention kernel, under a mask that lets each row
+    see the cache and itself, not the other rows; extending by a probed token
     reuses that row's keys, values and hidden state, so no position is
     computed twice.
     """
@@ -560,9 +553,15 @@ class _TinySession(Session):
         model._check_length(t + 1)
         kv = self._kv
         layers, _, heads, _, head_dim = kv.shape
-        rows = np.empty((layers, 2, heads, len(ids), head_dim))
+        m = len(ids)
+        rows = np.empty((layers, 2, heads, m, head_dim))
+        # Each row sees every cached column and itself, not the other rows:
+        # row i's own column, t + i, is every (t + m + 1)-th entry from t.
+        mask = np.zeros((m, t + m), dtype=bool)
+        mask[:, :t] = True
+        mask.ravel()[t :: t + m + 1] = True
         emb = model._tok_emb[ids] + model._pos_emb[t]
-        h = _read_only(model._stack(emb, lambda x, layer: model._attend_cached(x, layer, kv, rows)))
+        h = _read_only(model._stack(emb, kv, rows, mask))
         self._probed.update((c, (h, rows, i)) for i, c in enumerate(ids))
         return h
 

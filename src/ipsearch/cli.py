@@ -227,15 +227,6 @@ def _compare_row(backend, records, cfg) -> dict:
     }
 
 
-_COMPARE_COLUMNS = (
-    "distinct2",
-    "distinct4",
-    "mean_intra_response_cosine",
-    "mean_context_cosine",
-    "mean_elapsed_s",
-)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
@@ -251,7 +242,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         for strategy in strategies:
             per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
             row = {"strategy": strategy}
-            for col in _COMPARE_COLUMNS:
+            for col in per_seed[0]:
                 row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
             rows.append(row)
         out.write(json.dumps({"seeds": seeds, "rows": rows}, separators=(",", ":")) + "\n")

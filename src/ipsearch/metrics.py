@@ -86,13 +86,22 @@ def write_heatmap_csv(path: str | Path, labels: Sequence[str], matrix: np.ndarra
 
 
 def read_heatmap_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of write_heatmap_csv; returns (labels, matrix)."""
+    """Inverse of write_heatmap_csv; returns (labels, matrix). A file that
+    is not a square numeric body under its header raises ArgumentError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ArgumentError("heatmap file is empty")
     labels = rows[0]
-    matrix = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+    body = []
+    for number, row in enumerate(rows[1:], 2):
+        if len(row) != len(labels) + 1:
+            raise ArgumentError(f"heatmap row {number} has {len(row)} fields, expected {len(labels) + 1}")
+        try:
+            body.append([float(x) for x in row[1:]])
+        except ValueError as exc:
+            raise ArgumentError(f"heatmap row {number}: {exc}") from exc
+    matrix = np.array(body)
     if matrix.shape != (len(labels), len(labels)):
         raise ArgumentError(f"heatmap body shape {matrix.shape} does not match header")
     return labels, matrix

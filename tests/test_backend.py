@@ -17,7 +17,7 @@ from ipsearch import (
     ValidationError,
     VocabError,
 )
-from ipsearch.backend import _causal_softmax, _gelu, _layer_norm, _softmax
+from ipsearch.backend import _gelu, _layer_norm, _masked_softmax, _softmax
 
 from conftest import TINY_ARGS, random_scripted
 
@@ -202,7 +202,7 @@ class TestForwardCandidates:
         got = tiny_backend.forward_candidates([2], [5, 7, 9])
         for h, cand in zip(got, [5, 7, 9]):
             expected = tiny_backend.forward([2, cand]).hidden_last
-            np.testing.assert_allclose(h, expected, atol=1e-6)
+            np.testing.assert_allclose(h, expected, rtol=0, atol=1e-12)
 
     def test_empty_candidates(self, tiny_backend):
         with pytest.raises(ArgumentError):
@@ -212,8 +212,9 @@ class TestForwardCandidates:
         backend, _ = random_scripted(seed=11)
         prefix = [1, 2]
         got = backend.forward_candidates(prefix, [0, 1, 3])
+        # The base session's probe: one forward per candidate, so bitwise.
         for h, cand in zip(got, [0, 1, 3]):
-            np.testing.assert_allclose(h, backend.forward(prefix + [cand]).hidden_last, atol=1e-6)
+            assert np.array_equal(h, backend.forward(prefix + [cand]).hidden_last)
 
 
 def _outcome(call):
@@ -222,6 +223,16 @@ def _outcome(call):
         return call()
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
+
+
+def _mask(kind: str, t: int, m: int) -> np.ndarray:
+    """An attention mask over t columns: causal over t rows, or a probe's m
+    rows, each seeing the t - m cached columns and itself."""
+    if kind == "causal":
+        return np.tri(t, dtype=bool)
+    mask = np.eye(m, t, t - m, dtype=bool)
+    mask[:, : t - m] = True
+    return mask
 
 
 class TestBatchedEncoder:
@@ -247,26 +258,75 @@ class TestBatchedEncoder:
         lead=st.lists(st.integers(1, 3), max_size=2),
         t=st.integers(1, 40),
         scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        kind=st.sampled_from(["causal", "probe"]),
+        m=st.integers(1, 8),
     )
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_causal_softmax_is_the_masked_softmax(self, seed, lead, t, scale):
+    def test_masked_softmax_is_the_softmax_of_the_masked_scores(self, seed, lead, t, scale, kind, m):
         rng = np.random.Generator(np.random.PCG64(seed))
-        scores = rng.normal(0.0, scale, size=(*lead, t, t))
-        masked = _softmax(scores + np.triu(np.full((t, t), -np.inf), k=1))
-        assert np.array_equal(_causal_softmax(scores), masked)
+        mask = _mask(kind, t, min(m, t))
+        scores = rng.normal(0.0, scale, size=(*lead, *mask.shape))
+        masked = _softmax(scores + np.where(mask, 0.0, -np.inf))
+        assert np.array_equal(_masked_softmax(scores, mask), masked)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         lead=st.lists(st.integers(1, 2), max_size=1),
         t=st.integers(120, 170),  # row sums cross numpy's 128-element pairwise-sum block
         scale=st.sampled_from([1e-3, 1.0, 30.0]),
+        kind=st.sampled_from(["causal", "probe"]),
+        m=st.integers(1, 8),
     )
     @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_causal_softmax_is_the_masked_softmax_on_long_rows(self, seed, lead, t, scale):
+    def test_masked_softmax_is_the_softmax_of_the_masked_scores_on_long_rows(
+        self, seed, lead, t, scale, kind, m
+    ):
         rng = np.random.Generator(np.random.PCG64(seed))
-        scores = rng.normal(0.0, scale, size=(*lead, t, t))
-        masked = _softmax(scores + np.triu(np.full((t, t), -np.inf), k=1))
-        assert np.array_equal(_causal_softmax(scores), masked)
+        mask = _mask(kind, t, m)
+        scores = rng.normal(0.0, scale, size=(*lead, *mask.shape))
+        masked = _softmax(scores + np.where(mask, 0.0, -np.inf))
+        assert np.array_equal(_masked_softmax(scores, mask), masked)
+
+    @given(
+        seed=st.integers(0, 1000),
+        heads=st.integers(1, 4),
+        head_dim=st.integers(1, 8),
+        r=st.integers(1, 24),
+        c=st.integers(0, 140),
+        probe=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_attention_kernel_is_the_textbook_formula(self, seed, heads, head_dim, r, c, probe):
+        """softmax(Q K^T / sqrt(head_dim) + M) V, head by head, then W_o: bitwise
+        for a causal block over no cache, and within 1e-12 for a probe, each
+        row over [cache; row]."""
+        d = heads * head_dim
+        model = TinyTransformer(seed, 8, d, 1, heads)
+        blk = model._blocks[0]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        x = rng.normal(size=(r, d))
+        past = rng.normal(size=(2, heads, c if probe else 0, head_dim))
+        new = np.empty((2, heads, r, head_dim))
+        mask = _mask("probe", c + r, r) if probe else np.tri(r, dtype=bool)
+        got = model._attend(x, 0, past, new, mask)
+
+        q, k, v = (x @ blk["wqkv"]).reshape(r, 3, heads, head_dim).transpose(1, 2, 0, 3)
+        assert np.array_equal(new, np.stack([k, v]))
+        out = np.empty((r, heads, head_dim))
+        for h in range(heads):
+            if probe:
+                for i in range(r):
+                    keys = np.concatenate([past[0, h], k[h, i : i + 1]])
+                    values = np.concatenate([past[1, h], v[h, i : i + 1]])
+                    out[i, h] = _softmax(q[h, i] @ keys.T / np.sqrt(head_dim)) @ values
+            else:
+                scores = q[h] @ k[h].T / np.sqrt(head_dim)
+                out[:, h] = _softmax(scores + np.triu(np.full((r, r), -np.inf), k=1)) @ v[h]
+        want = out.reshape(r, d) @ blk["wo"]
+        if probe:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(got, want)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

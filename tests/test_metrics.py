@@ -151,3 +151,16 @@ class TestHeatmapCsv:
     def test_label_count_mismatch(self, tmp_path):
         with pytest.raises(ArgumentError):
             write_heatmap_csv(tmp_path / "x.csv", ["a"], np.eye(2))
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("a,b\na,1.0,0.5\nb,0.5\n", "row 3 has 2 fields, expected 3"),  # ragged body
+            ("a,b\na,1.0,0.5\nb,x,1.0\n", "row 3: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_malformed_body_is_an_argument_error(self, tmp_path, text, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ArgumentError, match=problem):
+            read_heatmap_csv(path)
