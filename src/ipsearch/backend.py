@@ -73,9 +73,9 @@ class StepOutput:
     hidden_all: Optional[np.ndarray] = None
 
 
-def _read_only(x) -> np.ndarray:
-    """A read-only float view of ``x``; a float64 array is not copied."""
-    a = np.asarray(x, dtype=float).view()
+def _read_only(x, dtype=float) -> np.ndarray:
+    """A read-only view of ``x`` as ``dtype``; an array of it is not copied."""
+    a = np.asarray(x, dtype=dtype).view()
     a.setflags(write=False)
     return a
 
@@ -152,14 +152,16 @@ class Session:
     with one ``forward(tokens)``, and a probe with one ``forward(tokens +
     [c])`` per candidate, so its ``probe`` is the bitwise from-scratch
     reference. A backend that caches or batches overrides ``Backend.open``
-    and returns a subclass.
+    and returns a subclass, which may hand the constructor a ``hidden_all``
+    it already has and override ``_next_probs``, the first read of
+    ``probs``.
     """
 
-    def __init__(self, backend: "Backend", tokens: list[int], hidden_all=None, probs=None):
+    def __init__(self, backend: "Backend", tokens: list[int], hidden_all=None):
         self._backend = backend
         self.tokens = tokens
         self._hidden_all = None if hidden_all is None else _read_only(hidden_all)
-        self._probs = None if probs is None else _read_only(probs)
+        self._probs = None
 
     @property
     def probs(self) -> np.ndarray:

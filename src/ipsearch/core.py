@@ -154,7 +154,10 @@ def validate_config(cfg: StrategyConfig, vocab_size: int) -> StrategyConfig:
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """Scoring breakdown for one candidate token at one step."""
+    """Scoring breakdown of one candidate token, or of a search step's m
+    candidates as columns: ids in ascending order, read-only float64 scores
+    and the probe's (m, d) ``hidden``. ``len``, indexing and iteration give
+    each candidate's own record, of plain numbers and a row view of ``hidden``."""
 
     token: TokenId
     prob: float
@@ -164,13 +167,25 @@ class CandidateScore:
     score: Optional[float] = None
     hidden: Optional[np.ndarray] = None
 
+    def __len__(self) -> int:
+        return len(self.token)
+
+    def __bool__(self) -> bool:
+        return True  # one candidate's record has no len
+
+    def __getitem__(self, i: int) -> "CandidateScore":
+        # Iteration runs on this, up to numpy's IndexError past the end.
+        values = (self.p_value, self.i_value, self.penalty, self.score)
+        scores = [None if v is None else float(v[i]) for v in values]
+        return CandidateScore(int(self.token[i]), float(self.prob[i]), *scores, self.hidden[i])
+
 
 @dataclass(frozen=True)
 class StepRecord:
     """Trace of one decoding step: the chosen token and how it scored.
 
-    ``candidates`` carries the full per-candidate breakdown for the search
-    strategies; plain sampling steps leave it (and the score fields) unset.
+    ``candidates`` carries the search strategies' per-candidate breakdown,
+    as columns; plain sampling steps leave it (and the score fields) unset.
     """
 
     token: TokenId
@@ -178,7 +193,7 @@ class StepRecord:
     p_value: Optional[float] = None
     i_value: Optional[float] = None
     score: Optional[float] = None
-    candidates: Optional[list[CandidateScore]] = None
+    candidates: Optional[CandidateScore] = None
 
 
 @dataclass

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import GenerationResult, TokenId, _is_int
+from .core import GenerationResult, TokenId, _is_int, _is_integer
 from .errors import ArgumentError
 from .scoring import _as_array, cosine, isotropic_value, response_representation
 
@@ -16,14 +16,19 @@ from .scoring import _as_array, cosine, isotropic_value, response_representation
 def distinct_n(responses: Sequence[Sequence[TokenId]], n: int) -> float:
     """Unique n-grams over total n-grams, pooled across all responses.
 
-    Responses shorter than n contribute nothing; an empty pool yields 0.
+    Responses shorter than n contribute nothing; an empty pool yields 0. A
+    token that is not an int or a numpy integer (a bool, a float) raises
+    ArgumentError: it would count as the int it equals.
     """
     if not _is_int(n) or n < 1:
         raise ArgumentError(f"n must be an integer >= 1, got {n!r}")
     total = 0
     unique: set[tuple[int, ...]] = set()
-    for resp in responses:
-        toks = [int(t) for t in resp]
+    for r, resp in enumerate(responses):
+        toks = list(resp)
+        # A plain int skips the call.
+        if any(type(t) is not int and not _is_integer(t) for t in toks):
+            raise ArgumentError(f"response {r} contains a non-integer token")
         for i in range(len(toks) - n + 1):
             unique.add(tuple(toks[i : i + n]))
             total += 1
@@ -87,7 +92,8 @@ def write_heatmap_csv(path: str | Path, labels: Sequence[str], matrix: np.ndarra
 
 def read_heatmap_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Inverse of write_heatmap_csv; returns (labels, matrix). A file that
-    is not a square numeric body under its header raises ArgumentError."""
+    is not a square body of finite numbers under its header raises
+    ArgumentError."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -101,6 +107,8 @@ def read_heatmap_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             body.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise ArgumentError(f"heatmap row {number}: {exc}") from exc
+        if not np.isfinite(body[-1]).all():
+            raise ArgumentError(f"heatmap row {number} holds a non-finite value")
     matrix = np.array(body)
     if matrix.shape != (len(labels), len(labels)):
         raise ArgumentError(f"heatmap body shape {matrix.shape} does not match header")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import Backend, Session
+from .backend import Backend, Session, _read_only
 from .core import (
     CandidateScore,
     DialogueContext,
@@ -218,39 +218,24 @@ def _contrastive_scores(
 
 
 def _search_step(
-    session: Session,
-    m: int,
-    score: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]],
+    session: Session, m: int, score: Callable[[np.ndarray, np.ndarray], dict[str, np.ndarray]]
 ) -> tuple[StepRecord, np.ndarray]:
     """Probe the top-m candidates and keep the best-scoring one.
 
-    ``score`` maps the candidates' probabilities and hidden-state matrix to
-    one value per candidate for each CandidateScore field it fills. Returns
-    the step record, with every candidate's breakdown, and the chosen
-    candidate's hidden state.
+    ``score`` maps the candidates' probabilities and hidden states to a
+    column for each CandidateScore field it fills. Returns the step record,
+    with those columns, and the chosen candidate's hidden state.
     """
     probs = session.probs
     ids = sorted(topk_set(probs, m))
+    prob = _read_only(probs[ids])
     hiddens = session.probe(ids)
-    fields = {name: values.tolist() for name, values in score(probs[ids], hiddens).items()}
-    scored = [
-        CandidateScore(
-            token=token, prob=float(probs[token]), hidden=hidden,
-            **{name: values[i] for name, values in fields.items()},
-        )
-        for i, (token, hidden) in enumerate(zip(ids, hiddens))
-    ]
+    columns = {name: _read_only(values) for name, values in score(prob, hiddens).items()}
+    candidates = CandidateScore(_read_only(ids, int), prob, hidden=hiddens, **columns)
     # Candidates are in ascending token-id order, and argmax keeps the first
     # maximum, so ties go to the lowest id.
-    best = scored[int(np.argmax(fields["score"]))]
-    record = StepRecord(
-        token=best.token,
-        prob=best.prob,
-        p_value=best.p_value,
-        i_value=best.i_value,
-        score=best.score,
-        candidates=scored,
-    )
+    best = candidates[np.argmax(candidates.score)]
+    record = StepRecord(best.token, best.prob, best.p_value, best.i_value, best.score, candidates)
     return record, best.hidden
 
 

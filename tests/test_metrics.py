@@ -43,6 +43,15 @@ class TestDistinctN:
         with pytest.raises(ArgumentError):  # a bool is not an n-gram length
             distinct_n([[1, 2]], True)
 
+    @pytest.mark.parametrize("response", [[True, 1], [1.5, 1.0], [np.float64(2.0)], [np.bool_(True)]])
+    def test_non_integer_token_is_an_argument_error(self, response):
+        # Counted as the ints they equal, True and 1, or 1.5 and 1.0, would be one token.
+        with pytest.raises(ArgumentError, match="response 1 contains a non-integer token"):
+            distinct_n([[1, 2], response], 1)
+
+    def test_numpy_integer_tokens_count_as_their_ints(self):
+        assert distinct_n([np.array([3, 3, 4]), [np.int32(4), 3]], 1) == 0.4
+
     @given(corpus, st.integers(1, 4))
     @settings(max_examples=100)
     def test_bounds(self, responses, n):
@@ -157,6 +166,7 @@ class TestHeatmapCsv:
         [
             ("a,b\na,1.0,0.5\nb,0.5\n", "row 3 has 2 fields, expected 3"),  # ragged body
             ("a,b\na,1.0,0.5\nb,x,1.0\n", "row 3: could not convert string to float: 'x'"),
+            ("a,b\na,nan,0.5\nb,0.5,inf\n", "row 2 holds a non-finite value"),
         ],
     )
     def test_malformed_body_is_an_argument_error(self, tmp_path, text, problem):

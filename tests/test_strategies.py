@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ipsearch import (
     BackendInfo,
+    CandidateScore,
     DialogueContext,
     RangeError,
     Rng,
@@ -572,3 +573,57 @@ def test_block_scores_match_the_scalar_oracles(tiny_backend, contexts24, overrid
             assert record.token == o_argmax_low_id(oracle)
             if cfg.strict_isotropy and history:
                 assert len({c.i_value for c in record.candidates}) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(strategy="ips"), dict(strategy="ips", strict_isotropy=True), dict(strategy="contrastive", alpha=0.4)],
+    ids=["ips", "ips-strict_isotropy", "contrastive"],
+)
+def test_candidates_are_one_record_of_columns(tiny_backend, contexts24, overrides):
+    """A search step keeps its m candidates as one CandidateScore of
+    read-only columns in ascending token order. The winner is the score
+    column's argmax, and each candidate is a view of plain numbers over a
+    row of the probe's matrix."""
+    cfg = StrategyConfig(m=5, max_new_tokens=6, bootstrap_n=1, **overrides)
+    ips = cfg.strategy == "ips"
+    columns = ("prob", "score", "p_value", "i_value") if ips else ("prob", "score", "penalty")
+    absent = ("penalty",) if ips else ("p_value", "i_value")
+    steps = 0
+    for seed, ctx in enumerate(contexts24[:6]):
+        for record in generate(tiny_backend, ctx, cfg.replace(seed=seed)).per_step:
+            cands = record.candidates
+            if cands is None:
+                continue
+            steps += 1
+            assert type(cands) is CandidateScore and len(cands) == cfg.m
+            assert cands.token.dtype.kind == "i" and not cands.token.flags.writeable
+            assert (np.diff(cands.token) > 0).all()
+            for name in columns:
+                column = getattr(cands, name)
+                assert column.dtype == np.float64 and column.shape == (cfg.m,)
+                assert not column.flags.writeable, name
+            assert all(getattr(cands, name) is None for name in absent)
+            assert cands.hidden.shape == (cfg.m, tiny_backend.info.hidden_dim)
+            assert not cands.hidden.flags.writeable
+            if cfg.strict_isotropy:
+                assert len(set(cands.i_value.tolist())) == 1
+
+            best = int(np.argmax(cands.score))
+            assert record.token == cands.token[best]
+            winner = cands[best]
+            assert (record.token, record.prob, record.p_value, record.i_value, record.score) == (
+                winner.token, winner.prob, winner.p_value, winner.i_value, winner.score
+            )
+
+            views = list(cands)
+            assert [v.token for v in views] == cands.token.tolist()
+            for i, view in enumerate(views):
+                assert view and type(view) is CandidateScore and type(view.token) is int
+                for name in columns:
+                    value = getattr(view, name)
+                    assert type(value) is float and value == getattr(cands, name)[i], name
+                assert all(getattr(view, name) is None for name in absent)
+                assert np.shares_memory(view.hidden, cands.hidden)
+                assert (view.hidden == cands.hidden[i]).all()
+    assert steps > 0
