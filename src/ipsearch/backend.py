@@ -184,7 +184,7 @@ class Session:
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         """Hidden state of each candidate, as if appended to the prefix: one
         read-only (len(candidates), d) matrix."""
-        _, cands = self._backend._check_candidates([], candidates)
+        cands = self._backend._check_candidates(candidates)
         return _read_only([self._backend.forward(self.tokens + [c]).hidden_last for c in cands])
 
     def extend(self, token: TokenId) -> "Session":
@@ -226,7 +226,8 @@ class Backend(ABC):
         candidates checked first. An empty prefix is probed on the base
         ``Session``: one ``forward`` per candidate alone.
         """
-        ids, cands = self._check_candidates(prefix, candidates)
+        cands = self._check_candidates(candidates)
+        ids = self._check_tokens(prefix, "token")
         return (self.open(ids) if ids else Session(self, ids)).probe(cands)
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
@@ -239,15 +240,11 @@ class Backend(ABC):
             raise ArgumentError("prefix must be non-empty")
         return self._check_tokens(prefix, "token")
 
-    def _check_candidates(
-        self, prefix: Sequence[TokenId], candidates: Sequence[TokenId]
-    ) -> tuple[list[int], list[int]]:
-        """The ids of ``prefix`` and of ``candidates``, checked in this order:
-        candidates non-empty, candidate ids, prefix ids. The prefix may be empty."""
+    def _check_candidates(self, candidates: Sequence[TokenId]) -> list[int]:
+        """The ids of ``candidates``, which must be non-empty."""
         if not candidates:
             raise ArgumentError("candidates must be non-empty")
-        cands = self._check_tokens(candidates, "candidate")
-        return self._check_tokens(prefix, "token"), cands
+        return self._check_tokens(candidates, "candidate")
 
     def _check_tokens(self, tokens: Iterable, kind: str) -> list[int]:
         v = self.info.vocab_size
@@ -550,7 +547,7 @@ class _TinySession(Session):
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         model = self._backend
         # The session's own tokens were checked when it was opened.
-        _, ids = model._check_candidates([], candidates)
+        ids = model._check_candidates(candidates)
         t = len(self.tokens)
         model._check_length(t + 1)
         kv = self._kv
@@ -564,7 +561,8 @@ class _TinySession(Session):
         mask.ravel()[t :: t + m + 1] = True
         emb = model._tok_emb[ids] + model._pos_emb[t]
         h = _read_only(model._stack(emb, kv, rows, mask))
-        self._probed.update((c, (h, rows, i)) for i, c in enumerate(ids))
+        for i, c in enumerate(ids):
+            self._probed[c] = h, rows, i
         return h
 
     def extend(self, token: TokenId) -> Session:
@@ -761,7 +759,7 @@ class _RemoteSession(Session):
 
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         remote = self._backend
-        _, cands = remote._check_candidates([], candidates)
+        cands = remote._check_candidates(candidates)
         doc = remote._request("POST", "/forward_batch", {"prefix": self.tokens, "candidates": cands})
         shape = (len(cands), remote.info.hidden_dim)
         return _array(_field(doc, "hidden"), shape, "hidden", ProtocolError)

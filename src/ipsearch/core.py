@@ -6,7 +6,7 @@ arrays whose length is the backend's hidden dimension.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -42,7 +42,8 @@ def _is_real(value) -> bool:
 
 @dataclass(frozen=True)
 class DialogueContext:
-    """An ordered, non-empty list of utterances, each a non-empty token-id list."""
+    """An ordered, non-empty list of utterances, each a non-empty list or
+    tuple of token ids."""
 
     utterances: list[list[TokenId]]
 
@@ -50,6 +51,8 @@ class DialogueContext:
         if not self.utterances:
             raise ArgumentError("dialogue context must contain at least one utterance")
         for i, utt in enumerate(self.utterances):
+            if not isinstance(utt, (list, tuple)):
+                raise ArgumentError(f"utterance {i} is not a list of token ids: {utt!r}")
             if not utt:
                 raise ArgumentError(f"utterance {i} is empty")
             # A plain int skips the call.
@@ -166,6 +169,13 @@ class CandidateScore:
     penalty: Optional[float] = None
     score: Optional[float] = None
     hidden: Optional[np.ndarray] = None
+
+    def __eq__(self, other) -> bool:
+        # Field by field, each compared as an array: == on a column or on
+        # ``hidden`` gives an array, not one truth value.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     def __len__(self) -> int:
         return len(self.token)

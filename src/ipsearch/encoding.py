@@ -48,9 +48,9 @@ def encode_context(ctx: DialogueContext, eou: TokenId) -> EncodedContext:
 class Tokenizer:
     """Deliberately trivial tokenization: pre-tokenized ids or whitespace words.
 
-    Passthrough mode accepts lists of token ids only, ints or numpy integers
-    (never a bool or a float), and returns plain ints. Whitespace mode splits
-    on whitespace and maps unknown words to ``unk_id``.
+    Passthrough mode accepts a list or tuple of token ids only, ints or numpy
+    integers (never a bool or a float), and returns plain ints. Whitespace
+    mode splits on whitespace and maps unknown words to ``unk_id``.
     """
 
     mode: str = "passthrough"
@@ -65,8 +65,10 @@ class Tokenizer:
 
     def encode(self, utterance: Union[Sequence[TokenId], str]) -> list[TokenId]:
         if self.mode == "passthrough":
-            if isinstance(utterance, str):
-                raise ArgumentError("passthrough tokenizer accepts pre-tokenized integer input only")
+            if not isinstance(utterance, (list, tuple)):
+                raise ArgumentError(
+                    f"passthrough tokenizer accepts a list of token ids only, got {utterance!r}"
+                )
             out = []
             for t in utterance:
                 if not _is_integer(t) or t < 0:

@@ -31,16 +31,11 @@ def _as_array(x, ndims=(1, 2)) -> np.ndarray:
 def _norms(v: np.ndarray):
     """The norm of a vector, or of each row of a matrix; DegenerateVectorError
     when one is at most DEGENERATE_NORM or not finite."""
-    if v.ndim == 1:
-        # A single vector keeps the one np.linalg.norm call it always had.
-        norms = float(np.linalg.norm(v))
-        ok = DEGENERATE_NORM < norms < np.inf  # a NaN norm fails both comparisons
-    else:
-        # What np.linalg.norm(v, axis=1) computes for real input, without
-        # its Python wrapper.
-        norms = np.sqrt(np.add.reduce(v * v, axis=1))
-        ok = ((norms > DEGENERATE_NORM) & (norms < np.inf)).all()
-    if not ok:
+    # The square root of the sum of squares over the last axis: what
+    # np.linalg.norm(v, axis=-1) computes for real input, without its Python
+    # wrapper. A NaN norm fails both comparisons.
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1))
+    if not ((norms > DEGENERATE_NORM) & (norms < np.inf)).all():
         raise DegenerateVectorError(f"norm near zero or not finite: {np.min(norms)}")
     return norms
 

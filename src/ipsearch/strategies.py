@@ -112,16 +112,14 @@ def _sample(ids: Sequence[int], weights: Sequence[float], rng: Rng) -> TokenId:
 
 def topk_step(probs, k: int, rng: Rng) -> TokenId:
     """Sample from the renormalized top-k of the distribution."""
-    v = _as_probs(probs)
-    ids = topk_set(v, k)
-    return _sample(ids, [float(v[i]) for i in ids], rng)
+    ids = topk_set(probs, k)
+    return _sample(ids, [float(probs[i]) for i in ids], rng)
 
 
 def nucleus_step(probs, p: float, rng: Rng) -> TokenId:
     """Sample from the renormalized nucleus of the distribution."""
-    v = _as_probs(probs)
-    ids = nucleus_set(v, p)
-    return _sample(ids, [float(v[i]) for i in ids], rng)
+    ids = nucleus_set(probs, p)
+    return _sample(ids, [float(probs[i]) for i in ids], rng)
 
 
 def beam_search(

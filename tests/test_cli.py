@@ -334,6 +334,8 @@ FAILURES = {
     "malformed-json": ({"--input": "malformed.jsonl"}, 2, "line 2: invalid JSON"),
     "out-of-vocab-id": ({"--input": "oov.jsonl"}, 2, "line 2: token id 999 outside vocabulary of size 64"),
     "eou-in-utterance": ({"--input": "eou.jsonl"}, 2, "line 1: utterance 0 contains the EOU id 63"),
+    "number-utterance": ({"--input": "number_utt.jsonl"}, 2, "line 1: utterance 1"),
+    "null-utterance": ({"--input": "null_utt.jsonl"}, 2, "line 1: utterance 1"),
     "boolean-vocab-id": (
         {"--input": "text.jsonl", "--vocab": "bool_vocab.json"}, 2, "must map words to integer ids"
     ),
@@ -355,6 +357,8 @@ def failure_files(tmp_path: Path) -> None:
     write_records(tmp_path / "oov.jsonl", [{"id": "a", "context_tokens": [[1]]},
                                            {"id": "b", "context_tokens": [[999]]}])
     write_records(tmp_path / "eou.jsonl", [{"id": "a", "context_tokens": [[5, 63]]}])
+    write_records(tmp_path / "number_utt.jsonl", [{"id": "a", "context_tokens": [[1, 2], 7]}])
+    write_records(tmp_path / "null_utt.jsonl", [{"id": "a", "context_tokens": [[1, 2], None]}])
     write_records(tmp_path / "text.jsonl", [{"id": "a", "context": ["hi there"]}])
     (tmp_path / "bool_vocab.json").write_text(json.dumps({"<unk>": 0, "hi": True, "there": 5}))
     write_records(tmp_path / "unscripted.jsonl", [{"id": "a", "context_tokens": [[1]]}])

@@ -109,6 +109,12 @@ class TestDialogueContext:
         with pytest.raises(ArgumentError, match="utterance 1 contains a non-token value"):
             DialogueContext([[3], [bad, 2]]).validate()
 
+    @pytest.mark.parametrize("bad", [7, None, {1: 2}, np.array([1, 2]), "12"], ids=repr)
+    def test_an_utterance_is_a_list_or_tuple(self, bad):
+        with pytest.raises(ArgumentError, match="utterance 1 is not a list of token ids"):
+            DialogueContext([[3], bad]).validate()
+        assert DialogueContext([[3], (4, 5)]).validate()
+
     def test_numpy_integers_decode_as_ints(self, tiny_backend):
         cfg = StrategyConfig(strategy="ips", max_new_tokens=6, seed=1)
         ctx = DialogueContext([[np.int64(3), np.int32(5)], [np.uint8(7)]])

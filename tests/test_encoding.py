@@ -117,6 +117,14 @@ class TestTokenizer:
                 tok.encode(bad)
         assert tok.decode([1, 2]) is None
 
+    @pytest.mark.parametrize("bad", [7, None, {1: 2}, np.array([1, 2])], ids=repr)
+    def test_passthrough_refuses_an_utterance_that_is_not_a_list(self, bad):
+        with pytest.raises(ArgumentError, match="accepts a list of token ids only, got"):
+            Tokenizer().encode(bad)
+        with pytest.raises(ArgumentError, match="utterance 0 is not a list of token ids"):
+            encode_context(DialogueContext([bad]), eou=9)
+        assert Tokenizer().encode((1, 2)) == [1, 2]
+
     def test_whitespace_maps_unknown_to_unk(self):
         tok = Tokenizer(mode="whitespace", vocab={"hi": 1, "there": 2}, unk_id=0)
         assert tok.encode("hi there stranger") == [1, 2, 0]

@@ -1,10 +1,14 @@
 """Step rules, beam search, contrastive and isotropic-proximal steps, generate()."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -627,3 +631,58 @@ def test_candidates_are_one_record_of_columns(tiny_backend, contexts24, override
                 assert np.shares_memory(view.hidden, cands.hidden)
                 assert (view.hidden == cands.hidden[i]).all()
     assert steps > 0
+
+
+@pytest.mark.parametrize("strategy", ["ips", "contrastive"])
+def test_step_records_compare_as_values(tiny_backend, contexts24, strategy):
+    cfg = StrategyConfig(strategy=strategy, max_new_tokens=8, seed=3)
+    first = generate(tiny_backend, contexts24[0], cfg).per_step
+    again = generate(tiny_backend, contexts24[0], cfg).per_step
+    assert first == again
+    record = first[-1]
+    assert record.candidates is not None
+    assert record != again[-2]
+    score = record.candidates.score.copy()
+    score[0] += 1.0
+    changed = dataclasses.replace(record.candidates, score=score)
+    assert dataclasses.replace(record, candidates=changed) != record
+
+
+def _load_tracing(monkeypatch):
+    """The benchmark's tracer module, loaded from its file without writing bytecode."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_wrap_targets_are_called(tiny_backend, contexts24, monkeypatch):
+    """The benchmark's tracer wraps library functions by module attribute.
+    Each must resolve, and the decoders must call every selection and
+    scoring target through the attribute wrapped: a decode that went round
+    one would leave its per-layer metric missing."""
+    tracing = _load_tracing(monkeypatch)
+    targets = {**tracing.SPAN_TARGETS, **tracing.COUNT_TARGETS, **tracing.CLI_TARGETS}
+    calls = dict.fromkeys(targets, 0)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name, (module_name, attr) in targets.items():
+        module = importlib.import_module(module_name)
+        fn = getattr(module, attr)
+        assert callable(fn), name
+        if module_name in ("ipsearch.strategies", "ipsearch.scoring"):
+            monkeypatch.setattr(module, attr, counted(name, fn))
+    for overrides in (dict(strategy="ips"), dict(strategy="ips", bootstrap_strategy="nucleus"),
+                      dict(strategy="contrastive")):
+        generate(tiny_backend, contexts24[0], StrategyConfig(max_new_tokens=8, seed=3, **overrides))
+    wanted = [n for n in targets if n.startswith(("select.", "scoring."))]
+    assert "scoring.cosine" in wanted
+    assert {n: calls[n] for n in wanted if not calls[n]} == {}
