@@ -227,8 +227,7 @@ class Backend(ABC):
         ``Session``: one ``forward`` per candidate alone.
         """
         cands = self._check_candidates(candidates)
-        ids = self._check_tokens(prefix, "token")
-        return (self.open(ids) if ids else Session(self, ids)).probe(cands)
+        return (self.open(prefix) if len(prefix) else Session(self, [])).probe(cands)
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Start decoding after ``context_tokens``: the base session, which
@@ -398,13 +397,14 @@ class TinyTransformer(Backend):
     they would be ones and zeros, which change no value. By convention the
     end-of-utterance id is ``vocab_size - 1`` unless overridden.
 
-    Every pass runs one attention kernel: new rows over the cached keys and
-    values (possibly none) and their own, under a mask. ``open`` and
-    ``forward`` both run one causal pass over the sequence that keeps every
-    layer's keys and values, and hand out read-only arrays. A session
-    probes its candidates as rows at the next position on that cache, so
-    they match ``forward(prefix + [c]).hidden_last`` within 1e-12, not
-    bitwise; ``Session(model, prefix).probe(...)`` is the bitwise probe.
+    Every pass runs one attention kernel per layer over one key/value array:
+    the cache (possibly empty), then the new rows' keys and values, which
+    the kernel writes, under a mask. ``open`` and ``forward`` both run one
+    causal pass over the sequence that keeps every layer's keys and values,
+    and hand out read-only arrays. A session probes its candidates as rows
+    at the next position on that cache, so they match ``forward(prefix +
+    [c]).hidden_last`` within 1e-12, not bitwise; ``Session(model,
+    prefix).probe(...)`` is the bitwise probe.
     """
 
     def __init__(
@@ -462,31 +462,28 @@ class TinyTransformer(Backend):
     def info(self) -> BackendInfo:
         return self._info
 
-    def _attend(
-        self, x: np.ndarray, layer: int, past: np.ndarray, new: np.ndarray, mask: np.ndarray
-    ) -> np.ndarray:
-        """Self-attention of the rows of ``x`` (r, d) over the columns
-        ``[cache | rows]``: the cached keys and values ``past`` (2, heads, c,
-        head_dim), c possibly 0, then the rows' own, which it writes into
-        ``new`` (2, heads, r, head_dim). Row i sees column j where the boolean
+    def _attend(self, x: np.ndarray, layer: int, kv: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Self-attention of the rows of ``x`` (r, d) over one key/value
+        array ``kv`` (2, heads, c + r, head_dim): its first c positions hold
+        the cache, c possibly 0, and the kernel writes the rows' own keys and
+        values into the last r. Row i sees position j where the boolean
         (r, c + r) ``mask`` is True."""
         r, d = x.shape
         blk = self._blocks[layer]
         qkv = (x @ blk["wqkv"]).reshape(r, 3, self._heads, d // self._heads).transpose(1, 2, 0, 3)
-        new[...] = qkv[1:]
-        q, k, v = qkv
-        if past.shape[-2]:
-            k, v = np.concatenate([past, new], axis=-2)
-        scores = q @ k.swapaxes(-1, -2)
+        kv[:, :, -r:] = qkv[1:]
+        k, v = kv
+        scores = qkv[0] @ k.swapaxes(-1, -2)
         scores /= self._sqrt_head_dim
         att = _masked_softmax(scores, mask)
         return (att @ v).swapaxes(0, 1).reshape(r, d) @ blk["wo"]
 
-    def _stack(self, x: np.ndarray, past: np.ndarray, new: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    def _stack(self, x: np.ndarray, kv: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """The blocks of ``forward`` and the closing norm over the rows ``x``;
-        block l attends over ``past[l]`` and writes into ``new[l]`` under ``mask``."""
+        block l attends over ``kv[l]``, writing the rows' keys and values
+        into its tail, under ``mask``."""
         for layer, blk in enumerate(self._blocks):
-            x = x + self._attend(_layer_norm(x), layer, past[layer], new[layer], mask)
+            x = x + self._attend(_layer_norm(x), layer, kv[layer], mask)
             x = x + _gelu(_layer_norm(x) @ blk["w1"]) @ blk["w2"]
         return _layer_norm(x)
 
@@ -505,8 +502,7 @@ class TinyTransformer(Backend):
         most max_seq_len tokens, holding every layer's keys and values."""
         kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
         emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
-        # A causal block over an empty cache: kv's first zero positions.
-        h = self._stack(emb, kv[:, :, :, :0], kv, np.tri(len(ids), dtype=bool))
+        h = self._stack(emb, kv, np.tri(len(ids), dtype=bool))
         return _TinySession(self, ids, h, kv)
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
@@ -528,8 +524,9 @@ class _TinySession(Session):
     """Session over a TinyTransformer's key/value cache.
 
     A probe runs its candidates as one batch of rows at the next position
-    through the model's attention kernel, under a mask that lets each row
-    see the cache and itself, not the other rows; extending by a probed token
+    through the model's attention kernel, over a copy of the cache with the
+    rows after it, each row seeing the cache and itself, not the other rows.
+    It keeps only the rows' keys and values; extending by a probed token
     reuses that row's keys, values and hidden state, so no position is
     computed twice.
     """
@@ -550,17 +547,18 @@ class _TinySession(Session):
         ids = model._check_candidates(candidates)
         t = len(self.tokens)
         model._check_length(t + 1)
-        kv = self._kv
-        layers, _, heads, _, head_dim = kv.shape
+        layers, _, heads, _, head_dim = self._kv.shape
         m = len(ids)
-        rows = np.empty((layers, 2, heads, m, head_dim))
+        kv = np.empty((layers, 2, heads, t + m, head_dim))
+        kv[:, :, :, :t] = self._kv
         # Each row sees every cached column and itself, not the other rows:
         # row i's own column, t + i, is every (t + m + 1)-th entry from t.
         mask = np.zeros((m, t + m), dtype=bool)
         mask[:, :t] = True
         mask.ravel()[t :: t + m + 1] = True
         emb = model._tok_emb[ids] + model._pos_emb[t]
-        h = _read_only(model._stack(emb, kv, rows, mask))
+        h = _read_only(model._stack(emb, kv, mask))
+        rows = kv[:, :, :, t:].copy()
         for i, c in enumerate(ids):
             self._probed[c] = h, rows, i
         return h

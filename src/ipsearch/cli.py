@@ -53,6 +53,12 @@ def _r6(x) -> Optional[float]:
     return None if x is None else round(float(x), 6)
 
 
+def _mean(xs: Sequence[float]) -> float:
+    # A running sum in sequence, on every Python version (the built-in sum
+    # compensates from 3.12 on); 0.0 for no values.
+    return float(np.cumsum(xs)[-1]) / len(xs) if xs else 0.0
+
+
 def build_backend(spec: str) -> Backend:
     """Parse a backend spec: scripted:<path> | tiny:<seed>,<V>,<d>,<L>,<H> | remote:<url>."""
     kind, sep, rest = spec.partition(":")
@@ -221,9 +227,9 @@ def _compare_row(backend, records, cfg) -> dict:
     return {
         "distinct2": distinct_n(responses, 2),
         "distinct4": distinct_n(responses, 4),
-        "mean_intra_response_cosine": sum(intra) / len(intra) if intra else 0.0,
-        "mean_context_cosine": sum(context) / len(context) if context else 0.0,
-        "mean_elapsed_s": sum(elapsed) / len(elapsed) if elapsed else 0.0,
+        "mean_intra_response_cosine": _mean(intra),
+        "mean_context_cosine": _mean(context),
+        "mean_elapsed_s": _mean(elapsed),
     }
 
 
@@ -243,7 +249,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
             row = {"strategy": strategy}
             for col in per_seed[0]:
-                row[col] = _r6(sum(r[col] for r in per_seed) / len(per_seed))
+                row[col] = _r6(_mean([r[col] for r in per_seed]))
             rows.append(row)
         out.write(json.dumps({"seeds": seeds, "rows": rows}, separators=(",", ":")) + "\n")
     header = f"{'strategy':<12} {'dist2':>9} {'dist4':>9} {'intra_cos':>10} {'ctx_cos':>9} {'elapsed_s':>10}"

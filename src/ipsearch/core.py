@@ -155,7 +155,7 @@ def validate_config(cfg: StrategyConfig, vocab_size: int) -> StrategyConfig:
     return cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # its own __eq__ below, and so no __hash__
 class CandidateScore:
     """Scoring breakdown of one candidate token, or of a search step's m
     candidates as columns: ids in ascending order, read-only float64 scores

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -99,27 +99,22 @@ def nucleus_set(probs, p: float) -> list[TokenId]:
     return order[:end].tolist()
 
 
-def _sample(ids: Sequence[int], weights: Sequence[float], rng: Rng) -> TokenId:
-    total = float(sum(weights))
-    u = rng.uniform() * total
-    cum = 0.0
-    for i, w in zip(ids, weights):
-        cum += float(w)
-        if u < cum:
-            return int(i)
-    return int(ids[-1])
+def _sample(probs, ids: list[int], rng: Rng) -> TokenId:
+    # Inverse CDF over the running sums of probs[ids], in order: cumsum adds
+    # in sequence on every Python version, where the built-in sum does not.
+    cum = np.asarray(probs, dtype=float)[ids].cumsum()
+    i = cum.searchsorted(rng.uniform() * cum[-1], side="right")
+    return ids[i] if i < len(ids) else ids[-1]
 
 
 def topk_step(probs, k: int, rng: Rng) -> TokenId:
     """Sample from the renormalized top-k of the distribution."""
-    ids = topk_set(probs, k)
-    return _sample(ids, [float(probs[i]) for i in ids], rng)
+    return _sample(probs, topk_set(probs, k), rng)
 
 
 def nucleus_step(probs, p: float, rng: Rng) -> TokenId:
     """Sample from the renormalized nucleus of the distribution."""
-    ids = nucleus_set(probs, p)
-    return _sample(ids, [float(probs[i]) for i in ids], rng)
+    return _sample(probs, nucleus_set(probs, p), rng)
 
 
 def beam_search(

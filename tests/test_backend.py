@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ipsearch import (
     ArgumentError,
+    Backend,
     BackendInfo,
     MissingEntryError,
     ScriptedBackend,
@@ -208,6 +209,19 @@ class TestForwardCandidates:
         with pytest.raises(ArgumentError):
             tiny_backend.forward_candidates([2], [])
 
+    def test_checks_each_list_once(self, tiny_backend, monkeypatch):
+        # The candidates first, then open's prefix, then the probe's candidates.
+        kinds = []
+        check = Backend._check_tokens
+
+        def counted(self, tokens, kind):
+            kinds.append(kind)
+            return check(self, tokens, kind)
+
+        monkeypatch.setattr(Backend, "_check_tokens", counted)
+        tiny_backend.forward_candidates([1, 2, 3], [4, 5, 6])
+        assert kinds == ["candidate", "token", "candidate"]
+
     def test_scripted_agrees_with_sequential(self):
         backend, _ = random_scripted(seed=11)
         prefix = [1, 2]
@@ -299,19 +313,22 @@ class TestBatchedEncoder:
     def test_attention_kernel_is_the_textbook_formula(self, seed, heads, head_dim, r, c, probe):
         """softmax(Q K^T / sqrt(head_dim) + M) V, head by head, then W_o: bitwise
         for a causal block over no cache, and within 1e-12 for a probe, each
-        row over [cache; row]."""
+        row over [cache; row]. The kernel writes the rows' keys and values
+        into the last r positions of the one array and leaves the cache."""
         d = heads * head_dim
         model = TinyTransformer(seed, 8, d, 1, heads)
         blk = model._blocks[0]
         rng = np.random.Generator(np.random.PCG64(seed))
         x = rng.normal(size=(r, d))
         past = rng.normal(size=(2, heads, c if probe else 0, head_dim))
-        new = np.empty((2, heads, r, head_dim))
+        kv = np.full((2, heads, past.shape[-2] + r, head_dim), np.nan)
+        kv[:, :, : past.shape[-2]] = past
         mask = _mask("probe", c + r, r) if probe else np.tri(r, dtype=bool)
-        got = model._attend(x, 0, past, new, mask)
+        got = model._attend(x, 0, kv, mask)
 
         q, k, v = (x @ blk["wqkv"]).reshape(r, 3, heads, head_dim).transpose(1, 2, 0, 3)
-        assert np.array_equal(new, np.stack([k, v]))
+        assert np.array_equal(kv[:, :, : past.shape[-2]], past)
+        assert np.array_equal(kv[:, :, past.shape[-2] :], np.stack([k, v]))
         out = np.empty((r, heads, head_dim))
         for h in range(heads):
             if probe:

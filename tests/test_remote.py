@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import base64
 import gc
+import importlib.util
 import os
 import shutil
 import ssl
@@ -220,6 +221,32 @@ def test_ips_reply_uses_one_keep_alive_connection(wrapped):
         assert server.requests == {"/forward": 8, "/forward_batch": 8}
         assert server.connections == 1
         remote._session.close()  # the keep-alive connection
+
+
+def test_benchmark_wire_server_serves_an_ips_reply_on_one_connection(monkeypatch):
+    """The remote-ips benchmark's path: its own server module, loaded from
+    its file without writing bytecode, serves the benchmark's small model;
+    the reply matches in-process decoding, and closing as the benchmark
+    does leaves one connection."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "wire.py"
+    spec = importlib.util.spec_from_file_location("perfbench_wire", path)
+    wire = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(wire)
+    model = TinyTransformer(42, 64, 16, 2, 2)
+    ctx = DialogueContext([[5, 6], [7, 8, 9]])
+    cfg = StrategyConfig(strategy="ips", max_new_tokens=8, seed=1)
+    server = wire.WireServer(model)
+    try:
+        backend = RemoteBackend(server.url)
+        try:
+            assert generate(backend, ctx, cfg).tokens == generate(model, ctx, cfg).tokens
+        finally:
+            backend._session.close()
+    finally:
+        server.close()
+    assert server.connections == 1
+    assert server.requests > 0
 
 
 def test_dropped_idle_connection_is_resent_once_on_a_new_one(wrapped):

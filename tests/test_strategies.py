@@ -112,6 +112,36 @@ class TestNucleusStep:
             nucleus_step([1.0, 0.0], True, Rng(0))
 
 
+def test_sampled_draws_do_not_depend_on_the_builtin_sum(monkeypatch):
+    """From Python 3.12 on, the built-in sum of floats compensates, where
+    3.11's adds in sequence, and a draw near a boundary flips between the
+    two. With math.fsum standing in for another summation, top-k and nucleus
+    still draw what the running sum in sequence draws."""
+    probs = [
+        0.3097386864834335,
+        0.06413485218610218,
+        0.05493500761961036,
+        0.023313347611971035,
+        0.021571318249227967,
+        0.01258201075347501,
+    ]
+
+    def draw(ids, total):
+        u, running = Rng(0).uniform() * total, 0.0
+        for i in ids:
+            running += probs[i]
+            if u < running:
+                return i
+        return ids[-1]
+
+    ids = topk_set(probs, 6)
+    assert ids == nucleus_set(probs, 1.0) == [0, 1, 2, 3, 4, 5]
+    sequential = draw(ids, np.cumsum(probs)[-1])
+    assert sequential != draw(ids, math.fsum(probs))  # the vector sits on a boundary
+    monkeypatch.setattr("ipsearch.strategies.sum", math.fsum, raising=False)
+    assert topk_step(probs, 6, Rng(0)) == nucleus_step(probs, 1.0, Rng(0)) == sequential
+
+
 @given(
     weights=st.lists(st.integers(0, 3), min_size=1, max_size=40).filter(any),
     k=st.integers(1, 40),
@@ -646,6 +676,20 @@ def test_step_records_compare_as_values(tiny_backend, contexts24, strategy):
     score[0] += 1.0
     changed = dataclasses.replace(record.candidates, score=score)
     assert dataclasses.replace(record, candidates=changed) != record
+
+
+def test_search_step_records_are_unhashable(tiny_backend, contexts24):
+    """A search step's record holds arrays, so it compares as a value but
+    says plainly that it cannot be hashed; a sampled step's record can."""
+    cfg = StrategyConfig(strategy="ips", max_new_tokens=4, seed=3)
+    record = generate(tiny_backend, contexts24[0], cfg).per_step[-1]
+    for value in (record.candidates, record):
+        with pytest.raises(TypeError, match="unhashable type: 'CandidateScore'"):
+            hash(value)
+    assert record == dataclasses.replace(record)
+    step = generate(tiny_backend, contexts24[0], cfg.replace(strategy="topk")).per_step[-1]
+    assert step.candidates is None
+    assert hash(step) == hash(dataclasses.replace(step))
 
 
 def _load_tracing(monkeypatch):
