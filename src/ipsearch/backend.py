@@ -13,6 +13,7 @@ from __future__ import annotations
 import base64
 import http.client
 import json
+import math
 import netrc
 import os
 import ssl
@@ -26,7 +27,7 @@ from urllib.request import getproxies_environment, proxy_bypass_environment
 
 import numpy as np
 
-from .core import TokenId, _is_integer
+from .core import TokenId, _is_integer, _is_real
 from .errors import (
     ArgumentError,
     MissingEntryError,
@@ -394,8 +395,8 @@ class TinyTransformer(Backend):
     forward is fully deterministic. Logits come from tied token embeddings;
     hidden states are the final-layer activations after the closing layer
     norm. The layer norms have no gain or shift and the MLP has no biases:
-    they would be ones and zeros, which change no value. By convention the
-    end-of-utterance id is ``vocab_size - 1`` unless overridden.
+    they would be ones and zeros, which change no value. The end-of-utterance
+    id is ``vocab_size - 1``.
 
     Every pass runs one attention kernel per layer over one key/value array:
     the cache (possibly empty), then the new rows' keys and values, which
@@ -414,7 +415,6 @@ class TinyTransformer(Backend):
         hidden_dim: int,
         layers: int,
         heads: int,
-        eou_token_id: TokenId | None = None,
         max_seq_len: int = 512,
     ):
         if heads < 1:
@@ -426,7 +426,7 @@ class TinyTransformer(Backend):
         self._info = BackendInfo(
             vocab_size=vocab_size,
             hidden_dim=hidden_dim,
-            eou_token_id=vocab_size - 1 if eou_token_id is None else eou_token_id,
+            eou_token_id=vocab_size - 1,
         )
         self._heads = heads
         self._sqrt_head_dim = float(np.sqrt(hidden_dim // heads))
@@ -665,6 +665,8 @@ class RemoteBackend(Backend):
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
+        if not _is_real(timeout) or not 0 < timeout < math.inf:
+            raise ArgumentError(f"timeout must be a positive finite number of seconds, got {timeout!r}")
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
         self._lock = threading.Lock()  # one exchange on the connection at a time

@@ -122,8 +122,8 @@ def read_records(
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        if not isinstance(doc, dict) or "id" not in doc:
-            raise InputError(f"line {lineno}: record must be an object with an 'id'")
+        if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
+            raise InputError(f"line {lineno}: record must be an object with a string 'id'")
         if "context_tokens" in doc:
             raw = doc["context_tokens"]
         elif "context" in doc:
@@ -147,7 +147,7 @@ def read_records(
             backend._check_tokens(encode_context(ctx, eou).tokens, "token")
         except (ArgumentError, VocabError) as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
-        records.append((str(doc["id"]), ctx))
+        records.append((doc["id"], ctx))
     return records
 
 

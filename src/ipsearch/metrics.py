@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class Diagnostics:
 
     mean_intra_response_cosine: float
     mean_context_cosine: float
-    per_step_trace: list[tuple[Optional[float], Optional[float], Optional[float]]]
 
 
 def diagnostics(
@@ -70,12 +69,7 @@ def diagnostics(
     n = len(hiddens)
     intra = 1.0 if n == 1 else float(np.mean(similarity_heatmap(hiddens)[np.triu_indices(n, 1)]))
     context = isotropic_value(response_representation(hiddens), utterance_reps)
-    trace = [(r.p_value, r.i_value, r.score) for r in result.per_step]
-    return Diagnostics(
-        mean_intra_response_cosine=intra,
-        mean_context_cosine=context,
-        per_step_trace=trace,
-    )
+    return Diagnostics(mean_intra_response_cosine=intra, mean_context_cosine=context)
 
 
 def write_heatmap_csv(path: str | Path, labels: Sequence[str], matrix: np.ndarray) -> None:

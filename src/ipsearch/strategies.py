@@ -134,14 +134,13 @@ def beam_search(
     the step's top ``width``, ties included, is still scored, so every
     decision is the one an exhaustive width x V ranking makes.
     """
-    if not _is_int(width) or width < 1:
-        raise RangeError("beam_width", f"must be an integer >= 1, got {width!r}")
-    if not _is_int(max_new_tokens) or max_new_tokens < 1:
-        raise RangeError("max_new_tokens", f"must be an integer >= 1, got {max_new_tokens!r}")
-    return _decode(backend, enc, width, max_new_tokens, partial(_beam_expansion, width), time.perf_counter())
+    # Beam reads neither m nor bootstrap_k, and 1 passes at any vocabulary size.
+    cfg = StrategyConfig(strategy="beam", beam_width=width, max_new_tokens=max_new_tokens, m=1, bootstrap_k=1)
+    validate_config(cfg, backend.info.vocab_size)
+    return _decode(backend, enc, cfg, time.perf_counter())
 
 
-def _beam_expansion(width: int, root: Session, utterance_reps: np.ndarray):
+def _beam_expansion(width: int):
     """Beam's step rule: a beam's extensions that could make the step's top
     ``width``, scored by total log probability, with their probabilities."""
 
@@ -239,14 +238,16 @@ def _one_token_expansion(cfg: StrategyConfig, root: Session, utterance_reps: np.
     rule = cfg.bootstrap_strategy if cfg.strategy == "ips" else cfg.strategy
     rng = Rng(cfg.seed)
     # The hidden states candidates are compared with, one row each: the
-    # context's, then each generated token's, written as it is chosen.
-    # Contrastive search reads all of them, IPS the generated ones.
-    c, d = root.hidden_all.shape
-    rows = np.empty((c + cfg.max_new_tokens, d))
-    rows[:c] = root.hidden_all
+    # context's, then each generated token's, in a buffer that doubles when
+    # full. Contrastive search reads all of them, IPS the generated ones.
+    rows = root.hidden_all
+    c = len(rows)
 
     def choose(session: Session, tokens: tuple[int, ...], _score: float) -> list:
+        nonlocal rows
         n = c + len(tokens)
+        if n == len(rows):
+            rows = np.concatenate((rows, np.empty_like(rows)))
         if cfg.strategy == "contrastive":
             score = partial(_contrastive_scores, rows[:n], cfg.alpha)
         elif cfg.strategy == "ips" and len(tokens) >= cfg.bootstrap_n:
@@ -263,27 +264,27 @@ def _one_token_expansion(cfg: StrategyConfig, root: Session, utterance_reps: np.
     return choose
 
 
-def _decode(
-    backend: Backend, enc: EncodedContext, width: int, max_new_tokens: int, expansion: Callable, t0: float
-) -> GenerationResult:
+def _decode(backend: Backend, enc: EncodedContext, cfg: StrategyConfig, t0: float) -> GenerationResult:
     """The decode loop of every strategy, on one session opened on the context.
 
     A hypothesis is (tokens, score, steps, the session before its last
-    token). ``expansion(root, utterance_reps)`` gives the step rule, which
-    maps a live hypothesis's session, tokens and score to its (token, score,
-    step) extensions; a step is a StepRecord, or a bare probability built
-    into one only for the winner. Each step keeps the ``width`` best by
-    (-score, tokens) and freezes those ending in EOU; the best finished one
-    wins, or the best live one at the length cap. A session is extended by
-    a hypothesis's last token only when it goes on.
+    token). The strategy's step rule maps a live hypothesis's session,
+    tokens and score to its (token, score, step) extensions; a step is a
+    StepRecord, or a bare probability built into one only for the winner.
+    Each step keeps the ``width`` best by (-score, tokens) and freezes those
+    ending in EOU; the best finished one wins, or the best live one at the
+    length cap. A session is extended by a hypothesis's last token only when
+    it goes on.
     """
     eou = backend.info.eou_token_id
     root = backend.open(enc.tokens)
     utterance_reps = root.hidden_all[list(enc.eou_positions)]
-    expand = expansion(root, utterance_reps)
+    beam = cfg.strategy == "beam"
+    width = cfg.beam_width if beam else 1
+    expand = _beam_expansion(width) if beam else _one_token_expansion(cfg, root, utterance_reps)
     live = [((), 0.0, (), root)]
     finished = []
-    for _ in range(max_new_tokens):
+    for _ in range(cfg.max_new_tokens):
         pool = []
         for tokens, score, steps, session in live:
             if tokens:
@@ -322,6 +323,4 @@ def generate(backend: Backend, ctx: DialogueContext, cfg: StrategyConfig) -> Gen
     validate_config(cfg, info.vocab_size)
     t0 = time.perf_counter()
     enc = encode_context(ctx, info.eou_token_id)
-    beam = cfg.strategy == "beam"
-    expansion = partial(_beam_expansion, cfg.beam_width) if beam else partial(_one_token_expansion, cfg)
-    return _decode(backend, enc, cfg.beam_width if beam else 1, cfg.max_new_tokens, expansion, t0)
+    return _decode(backend, enc, cfg, t0)

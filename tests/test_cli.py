@@ -336,6 +336,8 @@ FAILURES = {
     "eou-in-utterance": ({"--input": "eou.jsonl"}, 2, "line 1: utterance 0 contains the EOU id 63"),
     "number-utterance": ({"--input": "number_utt.jsonl"}, 2, "line 1: utterance 1"),
     "null-utterance": ({"--input": "null_utt.jsonl"}, 2, "line 1: utterance 1"),
+    "null-id": ({"--input": "null_id.jsonl"}, 2, "line 2: record must be an object with a string 'id'"),
+    "number-id": ({"--input": "number_id.jsonl"}, 2, "line 1: record must be an object with a string 'id'"),
     "boolean-vocab-id": (
         {"--input": "text.jsonl", "--vocab": "bool_vocab.json"}, 2, "must map words to integer ids"
     ),
@@ -359,6 +361,9 @@ def failure_files(tmp_path: Path) -> None:
     write_records(tmp_path / "eou.jsonl", [{"id": "a", "context_tokens": [[5, 63]]}])
     write_records(tmp_path / "number_utt.jsonl", [{"id": "a", "context_tokens": [[1, 2], 7]}])
     write_records(tmp_path / "null_utt.jsonl", [{"id": "a", "context_tokens": [[1, 2], None]}])
+    write_records(tmp_path / "null_id.jsonl", [{"id": "a", "context_tokens": [[1]]},
+                                               {"id": None, "context_tokens": [[1, 2]]}])
+    write_records(tmp_path / "number_id.jsonl", [{"id": 7, "context_tokens": [[1, 2]]}])
     write_records(tmp_path / "text.jsonl", [{"id": "a", "context": ["hi there"]}])
     (tmp_path / "bool_vocab.json").write_text(json.dumps({"<unk>": 0, "hi": True, "there": 5}))
     write_records(tmp_path / "unscripted.jsonl", [{"id": "a", "context_tokens": [[1]]}])

@@ -126,7 +126,6 @@ class TestDiagnostics:
         rep = np.mean(np.array(vecs), axis=0)
         expected_ctx = np.mean([o_cosine(rep, u) for u in ureps])
         assert d.mean_context_cosine == pytest.approx(expected_ctx, abs=1e-12)
-        assert d.per_step_trace == [(0.1, 0.2, 0.3)] * 3
 
     def test_bounds(self):
         d = diagnostics(make_result(2), [[1.0, 0.2], [-1.0, 0.1]], [[0.3, -0.9]])

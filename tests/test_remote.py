@@ -19,6 +19,7 @@ import pytest
 
 import ipsearch
 from ipsearch import (
+    ArgumentError,
     DialogueContext,
     ProtocolError,
     RemoteBackend,
@@ -177,6 +178,15 @@ def test_timeout(wrapped):
     with BackendHTTPServer(wrapped, delay=0.5) as server:
         with pytest.raises(TimeoutError):
             RemoteBackend(server.url, timeout=0.05)
+
+
+def test_bad_timeout_is_refused_before_connecting(wrapped):
+    with BackendHTTPServer(wrapped) as server:
+        for timeout in (0, -1, 0.0, float("nan"), float("inf"), "x", None, True):
+            with pytest.raises(ArgumentError, match="^timeout"):
+                RemoteBackend(server.url, timeout=timeout)
+        assert server.connections == 0
+        assert RemoteBackend(server.url, timeout=5).info == wrapped.info  # an int is seconds too
 
 
 @pytest.mark.parametrize(

@@ -167,12 +167,16 @@ def test_length_errors_match_forward():
         assert str(cached.value) == str(scratch.value) == "prefix length 13 exceeds max_seq_len 12"
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_every_strategy_stops_at_the_length_limit(strategy):
+@pytest.mark.parametrize(
+    "strategy,max_new_tokens",
+    [(s, 8) for s in STRATEGIES] + [(s, 10**12) for s in STRATEGIES],
+    ids=[*STRATEGIES, *(f"{s}-cap-1e12" for s in STRATEGIES)],
+)
+def test_every_strategy_stops_at_the_length_limit(strategy, max_new_tokens):
     model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
     ctx = DialogueContext([[47, 48, 49, 50, 51, 52, 53, 54]])  # 9 tokens with the EOU
     with pytest.raises(ArgumentError, match="exceeds max_seq_len 12"):
-        generate(model, ctx, StrategyConfig(strategy=strategy, max_new_tokens=8, seed=1))
+        generate(model, ctx, StrategyConfig(strategy=strategy, max_new_tokens=max_new_tokens, seed=1))
 
 
 class SessionOnlyBackend(Backend):

@@ -476,6 +476,19 @@ class TestGenerate:
         assert res.tokens[-1] == backend.info.eou_token_id
         assert len(res.per_step) == len(res.tokens)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_cap_far_above_the_reply_decodes_the_same_reply(self, strategy):
+        # Nothing is sized by the cap, so a cap of 10**12 allocates no more
+        # than a cap of 3 does, and the reply, which ends at EOU, is the same.
+        from conftest import directional_scripted
+
+        backend, ctx = directional_scripted()
+        cfg = StrategyConfig(strategy=strategy, m=4, bootstrap_k=5, beam_width=2, seed=1)
+        small = generate(backend, ctx, cfg.replace(max_new_tokens=3))
+        huge = generate(backend, ctx, cfg.replace(max_new_tokens=10**12))
+        assert small.stop_reason == huge.stop_reason == "eou"
+        assert huge.tokens == small.tokens
+
     def test_max_len_stop(self, tiny_backend):
         res = generate(tiny_backend, DialogueContext([[1]]), StrategyConfig(strategy="greedy", max_new_tokens=4))
         assert res.stop_reason == "max_len"
