@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import http.client
 import json
-import math
 import netrc
 import os
 import ssl
@@ -406,6 +405,14 @@ class TinyTransformer(Backend):
     at the next position on that cache, so they match ``forward(prefix +
     [c]).hidden_last`` within 1e-12, not bitwise; ``Session(model,
     prefix).probe(...)`` is the bitwise probe.
+
+    The model keeps its last sequence pass: its hidden states, keys and
+    values (about 4.5 MB at 128 dimensions, 4 layers and 512 positions) and
+    its ``probs``. ``open``, ``forward`` or ``forward_candidates`` with the
+    same ids reuse it bitwise, so a ``forward_candidates`` after a
+    ``forward`` of its prefix runs only the probe. Each call still gets its
+    own session: a probe on one never changes what another's ``extend``
+    reads.
     """
 
     def __init__(
@@ -431,6 +438,9 @@ class TinyTransformer(Backend):
         self._heads = heads
         self._sqrt_head_dim = float(np.sqrt(hidden_dim // heads))
         self._max_seq_len = max_seq_len
+        # The last sequence pass: its id tuple, hidden states, keys and values,
+        # and probs. Arrays only, so the model and its sessions form no cycle.
+        self._last: Optional[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = None
 
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         d = hidden_dim
@@ -499,11 +509,20 @@ class TinyTransformer(Backend):
 
     def _session(self, ids: list[int]) -> "_TinySession":
         """The one sequence pass: a session over ``ids``, checked ids of at
-        most max_seq_len tokens, holding every layer's keys and values."""
-        kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
-        emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
-        h = self._stack(emb, kv, np.tri(len(ids), dtype=bool))
-        return _TinySession(self, ids, h, kv)
+        most max_seq_len tokens, holding every layer's keys and values. The
+        ids of the last pass get a new session over its arrays, with no pass."""
+        key = tuple(ids)
+        last = self._last  # read once: another thread may replace it
+        if last is None or last[0] != key:
+            kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
+            emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
+            h = self._stack(emb, kv, np.tri(len(ids), dtype=bool))
+            h.setflags(write=False)
+            kv.setflags(write=False)
+            last = self._last = key, h, kv, _read_only(self._probs(h[-1]))
+        session = _TinySession(self, ids, last[1], last[2])
+        session._probs = last[3]
+        return session
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
@@ -665,8 +684,11 @@ class RemoteBackend(Backend):
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
-        if not _is_real(timeout) or not 0 < timeout < math.inf:
-            raise ArgumentError(f"timeout must be a positive finite number of seconds, got {timeout!r}")
+        # A socket takes at most threading.TIMEOUT_MAX seconds (about 292 years).
+        if not _is_real(timeout) or not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ArgumentError(
+                f"timeout must be a positive number of seconds up to {threading.TIMEOUT_MAX}, got {timeout!r}"
+            )
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
         self._lock = threading.Lock()  # one exchange on the connection at a time

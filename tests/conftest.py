@@ -1,6 +1,8 @@
 """Shared fixtures: the tiny reference model, dialogue contexts, scripted tables."""
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,20 @@ class CountingBackend(Backend):
 class _CountingSession(Session):
     def probe(self, candidates):
         return self._backend.forward_candidates(self.tokens, candidates)
+
+
+def count_passes(monkeypatch, model: TinyTransformer) -> Counter:
+    """Count ``model``'s runs through its blocks from here on: ``"causal"``
+    sequence passes, whose mask is square, and ``"probe"`` batches."""
+    passes: Counter = Counter()
+    stack = model._stack
+
+    def counting(x, kv, mask):
+        passes["causal" if mask.shape == (len(x), len(x)) else "probe"] += 1
+        return stack(x, kv, mask)
+
+    monkeypatch.setattr(model, "_stack", counting)
+    return passes
 
 
 def make_contexts(count: int, vocab_size: int = 64, eou: int = 63, seed: int = 7):

@@ -4,8 +4,10 @@ from __future__ import annotations
 import base64
 import gc
 import importlib.util
+import math
 import os
 import shutil
+import socket
 import ssl
 import subprocess
 import sys
@@ -30,6 +32,7 @@ from ipsearch import (
 )
 from ipsearch.backend import _connection
 
+from conftest import count_passes
 from wire_server import HANGUP, BackendHTTPServer, ForwardingProxy, RawBody
 
 SMALL = dict(seed=42, vocab_size=64, hidden_dim=16, layers=1, heads=2)
@@ -84,6 +87,21 @@ def test_ips_reply_request_counts(wrapped, bootstrap_n):
         result = generate(remote, DialogueContext([[5, 6], [7, 8, 9]]), cfg)
         assert len(result.tokens) == 8
         assert server.requests == {"/forward": 8, "/forward_batch": 8}
+
+
+def test_server_encodes_a_prefix_once_per_ips_token(monkeypatch):
+    # Each /forward_batch probes the prefix of the /forward just before it,
+    # which the server's model has kept: one sequence pass and one probe
+    # per token, over the same 2 requests per token.
+    model = TinyTransformer(**SMALL)
+    passes = count_passes(monkeypatch, model)
+    with BackendHTTPServer(model) as server:
+        remote = RemoteBackend(server.url)
+        cfg = StrategyConfig(strategy="ips", bootstrap_n=2, max_new_tokens=8, seed=1)
+        result = generate(remote, DialogueContext([[5, 6], [7, 8, 9]]), cfg)
+    assert len(result.tokens) == 8
+    assert server.requests == {"/info": 1, "/forward": 8, "/forward_batch": 8}
+    assert passes == {"causal": 8, "probe": 8}
 
 
 def test_logits_normalized_client_side(wrapped):
@@ -187,6 +205,22 @@ def test_bad_timeout_is_refused_before_connecting(wrapped):
                 RemoteBackend(server.url, timeout=timeout)
         assert server.connections == 0
         assert RemoteBackend(server.url, timeout=5).info == wrapped.info  # an int is seconds too
+
+
+def test_timeout_above_the_socket_limit_is_refused_before_connecting(wrapped):
+    # threading.TIMEOUT_MAX is a timeout a socket takes; 1e10 s overflows
+    # the socket's clock.
+    limit = threading.TIMEOUT_MAX
+    with socket.socket() as sock:
+        sock.settimeout(limit)
+        with pytest.raises(OverflowError):
+            sock.settimeout(1e10)
+    with BackendHTTPServer(wrapped) as server:
+        for timeout in (1e10, math.nextafter(limit, math.inf), 10**30):
+            with pytest.raises(ArgumentError, match="^timeout"):
+                RemoteBackend(server.url, timeout=timeout)
+        assert server.connections == 0
+        assert RemoteBackend(server.url, timeout=limit).info == wrapped.info
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Decoding sessions: the cached TinyTransformer session against from-scratch forwards."""
 from __future__ import annotations
 
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from ipsearch import (
 )
 from ipsearch.core import STRATEGIES
 
-from conftest import TINY_ARGS, CountingBackend, directional_scripted, random_scripted
+from conftest import TINY_ARGS, CountingBackend, count_passes, directional_scripted, random_scripted
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TOL = dict(rtol=0.0, atol=1e-12)
@@ -151,6 +153,127 @@ def test_a_probed_row_cannot_be_written_into_a_longer_session(tiny_backend):
             a[-1] += 1.0
     want = tiny_backend.forward([1, 2, 3, 5], want_all_hidden=True).hidden_all
     np.testing.assert_allclose(longer.hidden_all, want, **TOL)
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_session(got, want) -> None:
+    assert got.tokens == want.tokens
+    _assert_same_bits(got.hidden_all, want.hidden_all)
+    _assert_same_bits(got.probs, want.probs)
+
+
+CALLS = ("open", "forward", "forward_candidates", "probe", "extend")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=30),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_the_kept_pass_changes_no_bit(seed, base, data):
+    # Each call is made on one model, which keeps its last pass, and on a
+    # fresh model, which has none; a probe or extend goes to the pair of
+    # sessions that those calls opened. 2-3 prefixes of one base, some
+    # equal, so calls repeat a prefix or extend a kept one.
+    args = (seed, VOCAB, 16, 2, 2)
+    model = TinyTransformer(*args)
+    prefixes = [base[:n] for n in data.draw(st.lists(st.integers(1, len(base)), min_size=2, max_size=3))]
+    calls = st.tuples(
+        st.sampled_from(CALLS),
+        st.integers(0, 15),
+        st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=6, unique=True),
+    )
+    sessions = []  # (a session on model, the same session on fresh models)
+    for call, i, candidates in data.draw(st.lists(calls, min_size=1, max_size=16)):
+        prefix = prefixes[i % len(prefixes)]
+        fresh = TinyTransformer(*args)
+        if call == "open":
+            sessions.append((model.open(prefix), fresh.open(prefix)))
+        elif call == "forward":
+            got, want = model.forward(prefix, want_all_hidden=True), fresh.forward(prefix, want_all_hidden=True)
+            for field in ("probs", "hidden_last", "hidden_all"):
+                _assert_same_bits(getattr(got, field), getattr(want, field))
+        elif call == "forward_candidates":
+            got, want = model.forward_candidates(prefix, candidates), fresh.forward_candidates(prefix, candidates)
+            _assert_same_bits(got, want)
+        elif sessions:
+            session, ref = sessions[i % len(sessions)]
+            if call == "probe":
+                _assert_same_bits(session.probe(candidates), ref.probe(candidates))
+            else:
+                sessions.append((session.extend(candidates[0]), ref.extend(candidates[0])))
+    # Read last, so some sessions' probs are first read after later calls.
+    for session, ref in sessions:
+        _assert_same_session(session, ref)
+
+
+def test_sessions_over_one_kept_pass_stay_independent():
+    model = TinyTransformer(**TINY_ARGS)
+    prefix = [3, 1, 4, 1, 5, 9, 2, 6]
+    first, second = model.open(prefix), model.open(prefix)
+    assert first is not second
+    first.probe([7, 11, 13, 17, 19, 23])
+    _assert_same_session(second.extend(13), TinyTransformer(**TINY_ARGS).open(prefix).extend(13))
+    # The shared arrays are read-only at their base: a kernel cannot write
+    # into the keys and values, and no view of the hidden states can be
+    # made writable again.
+    assert not second._kv.flags.writeable
+    with pytest.raises(ValueError):
+        second.hidden_all.setflags(write=True)
+
+
+def test_forward_candidates_after_a_forward_of_its_prefix_runs_only_the_probe(monkeypatch):
+    model = TinyTransformer(**TINY_ARGS)
+    passes = count_passes(monkeypatch, model)
+    prefix = [5, 6, 7, 63, 8, 9]
+    model.forward(prefix)
+    model.forward_candidates(prefix, [1, 2, 3])
+    assert passes == {"causal": 1, "probe": 1}
+    # Only the same ids reuse the pass, and only the last one is kept.
+    model.forward(prefix + [1])
+    model.forward(prefix)
+    assert passes == {"causal": 3, "probe": 1}
+
+
+def test_threads_share_the_kept_pass():
+    # Two threads take turns replacing the kept pass; each result must be
+    # the one a fresh model gives. A short switch interval makes a switch
+    # inside a call more likely.
+    model = TinyTransformer(**TINY_ARGS)
+    jobs = [([5, 6, 7, 63, 8, 9], [1, 2, 3]), (list(range(10, 40)), [4, 5])]
+    fresh = [(TinyTransformer(**TINY_ARGS), TinyTransformer(**TINY_ARGS)) for _ in jobs]
+    want = [(a.forward(p, want_all_hidden=True), b.forward_candidates(p, c)) for (p, c), (a, b) in zip(jobs, fresh)]
+    got = [[], []]
+    start = threading.Barrier(len(jobs))
+
+    def run(n):
+        prefix, candidates = jobs[n]
+        start.wait(timeout=60)
+        for _ in range(200):
+            got[n].append((model.forward(prefix, want_all_hidden=True), model.forward_candidates(prefix, candidates)))
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results, (out, rows) in zip(got, want, strict=True):
+        assert len(results) == 200
+        for got_out, got_rows in results:
+            for field in ("probs", "hidden_last", "hidden_all"):
+                _assert_same_bits(getattr(got_out, field), getattr(out, field))
+            _assert_same_bits(got_rows, rows)
 
 
 def test_length_errors_match_forward():
