@@ -241,7 +241,7 @@ class Backend(ABC):
 
     def _check_candidates(self, candidates: Sequence[TokenId]) -> list[int]:
         """The ids of ``candidates``, which must be non-empty."""
-        if not candidates:
+        if len(candidates) == 0:
             raise ArgumentError("candidates must be non-empty")
         return self._check_tokens(candidates, "candidate")
 
@@ -397,12 +397,12 @@ class TinyTransformer(Backend):
     they would be ones and zeros, which change no value. The end-of-utterance
     id is ``vocab_size - 1``.
 
-    Every pass runs one attention kernel per layer over one key/value array:
-    the cache (possibly empty), then the new rows' keys and values, which
-    the kernel writes, under a mask. ``open`` and ``forward`` both run one
-    causal pass over the sequence that keeps every layer's keys and values,
-    and hand out read-only arrays. A session probes its candidates as rows
-    at the next position on that cache, so they match ``forward(prefix +
+    Every row the model computes goes through one pass, ``_run``: one
+    attention kernel per layer over [cache | a causal block, or each row's
+    own column]. The context pass of ``open`` and ``forward`` is a causal
+    chunk over an empty cache; it keeps every layer's keys and values and
+    hands out read-only arrays. A session probes its candidates as rows at
+    the next position on that cache, so they match ``forward(prefix +
     [c]).hidden_last`` within 1e-12, not bitwise; ``Session(model,
     prefix).probe(...)`` is the bitwise probe.
 
@@ -424,12 +424,18 @@ class TinyTransformer(Backend):
         heads: int,
         max_seq_len: int = 512,
     ):
-        if heads < 1:
-            raise ArgumentError(f"heads must be >= 1, got {heads}")
+        for name, value, least in (
+            ("seed", seed, 0),
+            ("layers", layers, 1),
+            ("heads", heads, 1),
+            ("max_seq_len", max_seq_len, 1),
+        ):
+            if not _is_integer(value):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ArgumentError(f"{name} must be >= {least}, got {value}")
         if hidden_dim % heads != 0:
             raise ArgumentError(f"hidden_dim {hidden_dim} not divisible by heads {heads}")
-        if layers < 1:
-            raise ArgumentError(f"layers must be >= 1, got {layers}")
         self._info = BackendInfo(
             vocab_size=vocab_size,
             hidden_dim=hidden_dim,
@@ -488,41 +494,44 @@ class TinyTransformer(Backend):
         att = _masked_softmax(scores, mask)
         return (att @ v).swapaxes(0, 1).reshape(r, d) @ blk["wo"]
 
-    def _stack(self, x: np.ndarray, kv: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """The blocks of ``forward`` and the closing norm over the rows ``x``;
-        block l attends over ``kv[l]``, writing the rows' keys and values
-        into its tail, under ``mask``."""
+    def _run(self, cache: np.ndarray, ids: list[int], causal: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Every row the model computes: the checked ``ids`` as r rows after the
+        c positions of ``cache`` (layers, 2, heads, c, head_dim), c possibly 0,
+        over [cache | a causal block] at positions c to c + r - 1, or, if not
+        ``causal`` (a probe), over [cache | each row's own column] at position c.
+        Returns the rows' (r, d) hidden states and keys and values, cache first."""
+        layers, _, heads, c, head_dim = cache.shape
+        r = len(ids)
+        t = c + r if causal else c + 1
+        if t > self._max_seq_len:
+            raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
+        kv = np.empty((layers, 2, heads, c + r, head_dim))
+        kv[:, :, :, :c] = cache
+        if causal:
+            mask = np.tri(r, c + r, c, dtype=bool)
+            x = self._tok_emb[ids] + self._pos_emb[c : c + r]
+        else:
+            mask = np.eye(r, c + r, c, dtype=bool)
+            mask[:, :c] = True
+            x = self._tok_emb[ids] + self._pos_emb[c]
         for layer, blk in enumerate(self._blocks):
             x = x + self._attend(_layer_norm(x), layer, kv[layer], mask)
             x = x + _gelu(_layer_norm(x) @ blk["w1"]) @ blk["w2"]
-        return _layer_norm(x)
-
-    def _check_length(self, t: int) -> None:
-        if t > self._max_seq_len:
-            raise ArgumentError(f"prefix length {t} exceeds max_seq_len {self._max_seq_len}")
-
-    def _ids(self, prefix: Sequence[TokenId]) -> list[int]:
-        """The ids of ``prefix``, checked against the vocabulary and max_seq_len."""
-        ids = self._check_prefix(prefix)
-        self._check_length(len(ids))
-        return ids
+        return _layer_norm(x), kv
 
     def _session(self, ids: list[int]) -> "_TinySession":
-        """The one sequence pass: a session over ``ids``, checked ids of at
-        most max_seq_len tokens, holding every layer's keys and values. The
-        ids of the last pass get a new session over its arrays, with no pass."""
+        """The one sequence pass: a causal chunk of the checked ``ids`` over an
+        empty cache, kept with its keys and values. The ids of the last pass
+        get a new session over its arrays, with no pass."""
         key = tuple(ids)
         last = self._last  # read once: another thread may replace it
         if last is None or last[0] != key:
-            kv = np.empty((len(self._blocks), 2, self._heads, len(ids), self._info.hidden_dim // self._heads))
-            emb = self._tok_emb[ids] + self._pos_emb[: len(ids)]
-            h = self._stack(emb, kv, np.tri(len(ids), dtype=bool))
+            empty = np.empty((len(self._blocks), 2, self._heads, 0, self._info.hidden_dim // self._heads))
+            h, kv = self._run(empty, ids, causal=True)
             h.setflags(write=False)
             kv.setflags(write=False)
             last = self._last = key, h, kv, _read_only(self._probs(h[-1]))
-        session = _TinySession(self, ids, last[1], last[2])
-        session._probs = last[3]
-        return session
+        return _TinySession(self, ids, *last[1:])
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
@@ -531,10 +540,10 @@ class TinyTransformer(Backend):
 
     def open(self, context_tokens: Sequence[TokenId]) -> Session:
         """Encode the context once and keep every layer's keys and values."""
-        return self._session(self._ids(context_tokens))
+        return self._session(self._check_prefix(context_tokens))
 
     def forward(self, prefix: Sequence[TokenId], want_all_hidden: bool = False) -> StepOutput:
-        session = self._session(self._ids(prefix))
+        session = self._session(self._check_prefix(prefix))
         h = session.hidden_all
         return StepOutput(session.probs, h[-1], h if want_all_hidden else None)
 
@@ -542,17 +551,18 @@ class TinyTransformer(Backend):
 class _TinySession(Session):
     """Session over a TinyTransformer's key/value cache.
 
-    A probe runs its candidates as one batch of rows at the next position
-    through the model's attention kernel, over a copy of the cache with the
-    rows after it, each row seeing the cache and itself, not the other rows.
-    It keeps only the rows' keys and values; extending by a probed token
-    reuses that row's keys, values and hidden state, so no position is
-    computed twice.
+    A probe is one ``_run`` of its candidates over the cache at the next
+    position, each row seeing the cache and itself, not the other rows. It
+    keeps only the rows' keys and values; extending by a probed token reuses
+    that row's keys, values and hidden state, so no position is computed twice.
     """
 
-    def __init__(self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray):
+    def __init__(
+        self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray, probs=None
+    ):
         super().__init__(model, tokens, hidden_all)
         self._kv = kv  # (layers, 2, heads, prefix length, head_dim): keys, then values
+        self._probs = probs  # read-only, or None until first read
         # probed token -> (the probe's (candidates, d) hidden states, its
         # (layers, 2, heads, candidates, head_dim) keys and values, the token's row)
         self._probed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
@@ -561,23 +571,11 @@ class _TinySession(Session):
         return self._backend._probs(self.hidden_all[-1])
 
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
-        model = self._backend
         # The session's own tokens were checked when it was opened.
-        ids = model._check_candidates(candidates)
-        t = len(self.tokens)
-        model._check_length(t + 1)
-        layers, _, heads, _, head_dim = self._kv.shape
-        m = len(ids)
-        kv = np.empty((layers, 2, heads, t + m, head_dim))
-        kv[:, :, :, :t] = self._kv
-        # Each row sees every cached column and itself, not the other rows:
-        # row i's own column, t + i, is every (t + m + 1)-th entry from t.
-        mask = np.zeros((m, t + m), dtype=bool)
-        mask[:, :t] = True
-        mask.ravel()[t :: t + m + 1] = True
-        emb = model._tok_emb[ids] + model._pos_emb[t]
-        h = _read_only(model._stack(emb, kv, mask))
-        rows = kv[:, :, :, t:].copy()
+        ids = self._backend._check_candidates(candidates)
+        h, kv = self._backend._run(self._kv, ids, causal=False)
+        h = _read_only(h)
+        rows = kv[:, :, :, len(self.tokens) :].copy()
         for i, c in enumerate(ids):
             self._probed[c] = h, rows, i
         return h

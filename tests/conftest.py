@@ -51,16 +51,16 @@ class _CountingSession(Session):
 
 
 def count_passes(monkeypatch, model: TinyTransformer) -> Counter:
-    """Count ``model``'s runs through its blocks from here on: ``"causal"``
-    sequence passes, whose mask is square, and ``"probe"`` batches."""
+    """Count ``model``'s runs of rows from here on: ``"causal"`` sequence
+    passes and ``"probe"`` batches."""
     passes: Counter = Counter()
-    stack = model._stack
+    run = model._run
 
-    def counting(x, kv, mask):
-        passes["causal" if mask.shape == (len(x), len(x)) else "probe"] += 1
-        return stack(x, kv, mask)
+    def counting(cache, ids, causal):
+        passes["causal" if causal else "probe"] += 1
+        return run(cache, ids, causal)
 
-    monkeypatch.setattr(model, "_stack", counting)
+    monkeypatch.setattr(model, "_run", counting)
     return passes
 
 

@@ -138,6 +138,28 @@ class TestTinyTransformer:
         with pytest.raises(ArgumentError):
             TinyTransformer(seed=1, vocab_size=8, hidden_dim=10, layers=1, heads=3)
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("seed", 42.5, "seed must be an integer, got 42.5"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", np.bool_(True), f"seed must be an integer, got {np.bool_(True)!r}"),
+            ("heads", True, "heads must be an integer, got True"),
+            ("layers", 2.0, "layers must be an integer, got 2.0"),
+            ("max_seq_len", 2.5, "max_seq_len must be an integer, got 2.5"),
+            ("max_seq_len", -1, "max_seq_len must be >= 1, got -1"),
+            ("max_seq_len", 0, "max_seq_len must be >= 1, got 0"),
+        ],
+    )
+    def test_sizes_are_checked_integers(self, name, value, message):
+        with pytest.raises(ArgumentError) as err:
+            TinyTransformer(**{**TINY_ARGS, name: value})
+        assert str(err.value) == message
+
+    def test_a_numpy_integer_seed_builds_the_same_model(self, tiny_backend):
+        other = TinyTransformer(**{**TINY_ARGS, "seed": np.int64(TINY_ARGS["seed"])})
+        assert np.array_equal(other.forward([3, 1]).probs, tiny_backend.forward([3, 1]).probs)
+
     def test_probs_normalized(self, tiny_backend):
         for prefix in ([0], [5, 6, 7], list(range(20))):
             out = tiny_backend.forward(prefix)

@@ -196,6 +196,9 @@ def _vocab(kind, token):
         ([2, 64], [5], _vocab("token", 64)),
         ([2, 70], [99], _vocab("candidate", 99)),  # candidates are checked first
         ([], [5, 7], None),  # empty prefix: each candidate on its own
+        ([], np.array([5, 7]), None),  # a numpy array is a sequence of ids
+        ([2, 64], np.array([0]), _vocab("token", 64)),
+        ([2], np.array([], dtype=int), (ArgumentError, "candidates must be non-empty")),
     ],
 )
 @pytest.mark.parametrize("kind", ["scripted", "tiny", "remote"])

@@ -110,6 +110,26 @@ def test_session_chains_match_from_scratch_forward(seed, layers, heads, dim, pre
     _assert_probe_matches_forward(model, session, steps[0][0])
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # (hidden_dim, layers, heads)
+    shape=st.sampled_from([(8, 1, 1), (16, 2, 2), (32, 3, 4)]),
+    ids=st.lists(st.integers(0, VOCAB - 1), min_size=2, max_size=140),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_a_causal_chunk_over_a_cache_matches_one_pass(seed, shape, ids, data):
+    # Chunked prefill: the rows after an opened prefix, run as one causal
+    # chunk over its cache, are the rows of one pass over the whole sequence.
+    dim, layers, heads = shape
+    model = TinyTransformer(seed=seed, vocab_size=VOCAB, hidden_dim=dim, layers=layers, heads=heads)
+    c = data.draw(st.integers(1, len(ids) - 1))
+    hidden, kv = model._run(model.open(ids[:c])._kv, ids[c:], causal=True)
+    whole = model.open(ids)
+    np.testing.assert_allclose(hidden, whole.hidden_all[c:], **TOL)
+    np.testing.assert_allclose(kv, whole._kv, **TOL)
+
+
 def test_probe_rejects_bad_candidates(tiny_backend):
     session = tiny_backend.open([1, 63])
     with pytest.raises(ArgumentError):
