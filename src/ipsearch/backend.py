@@ -426,6 +426,8 @@ class TinyTransformer(Backend):
     ):
         for name, value, least in (
             ("seed", seed, 0),
+            ("vocab_size", vocab_size, 2),
+            ("hidden_dim", hidden_dim, 1),
             ("layers", layers, 1),
             ("heads", heads, 1),
             ("max_seq_len", max_seq_len, 1),

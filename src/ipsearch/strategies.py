@@ -66,8 +66,34 @@ def greedy_step(probs) -> TokenId:
     return int(np.argmax(_as_probs(probs)))
 
 
+def _descending(v: np.ndarray, kind: str | None = "stable", k: int = 64):
+    """Chunks which, joined, order ``v`` as ``np.argsort(-v, kind=kind)``
+    does (ties may differ if ``kind`` is not stable). If 2k covers ``v``: one
+    chunk, in a tuple, about 0.3 µs cheaper to iterate than a generator."""
+    if 2 * k >= len(v):
+        return (np.argsort(-v, kind=kind),)
+    return _chunks(-v, kind, k)
+
+
+def _chunks(neg: np.ndarray, kind: str | None, k: int):
+    # A chunk: the ids not yet taken at or above their k-th value (ties stay
+    # whole), sorted. k grows x4; once 2k covers what is left, all of it.
+    ids = None  # the ids not yet taken, once some are
+    while 2 * k < len(neg):
+        # Empty when fewer than k non-NaN ids are left: the k-th is NaN.
+        head = neg <= np.partition(neg, k - 1)[k - 1]
+        top = np.flatnonzero(head)
+        top = top[np.argsort(neg[top], kind=kind)]
+        yield top if ids is None else ids[top]
+        rest = np.flatnonzero(~head)
+        ids, neg = rest if ids is None else ids[rest], neg[rest]
+        k *= 4
+    yield ids[np.argsort(neg, kind=kind)]
+
+
 def topk_set(probs, k: int) -> list[TokenId]:
-    """The k highest-probability ids, ties resolved toward lower ids first."""
+    """The k highest-probability ids, ties resolved toward lower ids first;
+    only the ids at or above the k-th value are sorted (a `_descending` chunk)."""
     v = _as_probs(probs)
     if not _is_int(k) or not 1 <= k <= v.shape[0]:
         raise RangeError("k", f"must be an integer in [1, {v.shape[0]}], got {k!r}")
@@ -87,16 +113,23 @@ def nucleus_set(probs, p: float) -> list[TokenId]:
 
     Ties sort toward lower ids. If rounding keeps the cumulative sum below p
     (possible when the whole vector sums just under 1), the set is the full
-    vocabulary.
+    vocabulary. Only the chunks up to the one reaching p are sorted.
     """
     v = _as_probs(probs)
     if not _is_real(p) or not 0.0 < p <= 1.0:
         raise RangeError("p", f"must lie in (0, 1], got {p!r}")
-    order = np.argsort(-v, kind="stable")
-    # cumsum adds in sequence, so each partial sum is the running float sum.
-    reached = np.cumsum(v[order]) >= p
-    end = int(np.argmax(reached)) + 1 if reached.any() else len(order)
-    return order[:end].tolist()
+    # A p within rounding of the whole mass needs (nearly) every id: then one
+    # chunk, one sort. (Up to 128 ids are one chunk anyway: no sum there.)
+    whole = len(v) > 128 and p >= v.sum() * (1.0 - len(v) * 2.0**-53)
+    order = None
+    for chunk in _descending(v, k=len(v) if whole else 64):
+        order = chunk if order is None else np.concatenate((order, chunk))
+        # cumsum adds in sequence, from the first id on (no carried total),
+        # so each partial sum is the running float sum.
+        reached = np.cumsum(v[order]) >= p
+        if reached.any():
+            return order[: int(np.argmax(reached)) + 1].tolist()
+    return order.tolist()
 
 
 def _sample(probs, ids: list[int], rng: Rng) -> TokenId:
@@ -146,29 +179,31 @@ def _beam_expansion(width: int):
 
     def walk(session: Session, tokens: tuple[int, ...], logp: float) -> list:
         probs = session.probs
-        # Walk descending p. Once the beam holds `width` candidates, none
-        # scoring below the least of them (the cut) can make the step's top
-        # `width`; one tying the cut still can, on the token tie-break. Tied
-        # p may come in any order: they share one score, so the cut and the
-        # set kept do not depend on their order, and the pooled ranking
-        # orders them by tokens. Scores only fall along the walk up to
-        # math.log's error: under 1 ulp per call, so a later (smaller) p can
-        # outscore an earlier one by under 2 ulp, plus under 1 ulp from
+        # Walk descending p a chunk at a time, sorting the next only while the
+        # walk goes on. Once the beam holds `width` candidates, none scoring
+        # below the least of them (the cut) can make the step's top `width`;
+        # one tying the cut still can, on the token tie-break. Tied p may come
+        # in any order (so the default sort serves): they share one score, so
+        # the cut and the set kept do not depend on their order, and the
+        # pooled ranking orders them by tokens. Scores only fall along the walk
+        # up to math.log's error: under 1 ulp per call, so a later (smaller) p
+        # can outscore an earlier one by under 2 ulp, plus under 1 ulp from
         # rounding the sum (p <= 1 keeps every score <= 0, so these ulps are
         # at most ulp(cut) for any score near the cut). The walk therefore
         # stops 4 ulp(cut) below the cut. A cut of -inf keeps every -inf
         # candidate, as the exhaustive ranking does.
         floor = -math.inf
         kept = []
-        for t in np.argsort(-probs).tolist():
-            pt = float(probs[t])
-            lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
-            if lpt < floor:
-                break
-            kept.append((t, lpt, pt))
-            if len(kept) == width:
-                cut = min(c[1] for c in kept)
-                floor = cut - 4 * math.ulp(cut)
+        for chunk in _descending(probs, None):
+            for t in chunk.tolist():
+                pt = probs.item(t)
+                lpt = logp + (math.log(pt) if pt > 0.0 else -math.inf)
+                if lpt < floor:
+                    return kept
+                kept.append((t, lpt, pt))
+                if len(kept) == width:
+                    cut = min([c[1] for c in kept])  # a list: faster than a generator
+                    floor = cut - 4 * math.ulp(cut)
         return kept
 
     return walk

@@ -1,11 +1,15 @@
 """Independent brute-force reimplementations used as test oracles.
 
 Pure-Python floats and loops only: these deliberately share no code path
-with the package (which is numpy-based), so agreement is meaningful.
+with the package (which is numpy-based), so agreement is meaningful. The
+two full-sort selection references are the exception: numpy, because a
+pure-Python sort of 50257 ids is too slow for a property test.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def o_cosine(a, b) -> float:
@@ -63,6 +67,20 @@ def o_nucleus(probs, p) -> list[int]:
         if cum >= p:
             break
     return chosen
+
+
+def o_topk_full_sort(probs, k) -> list[int]:
+    """Top-k ids from one stable sort of the whole vector."""
+    return np.argsort(-np.asarray(probs, dtype=float), kind="stable")[:k].tolist()
+
+
+def o_nucleus_full_sort(probs, p) -> list[int]:
+    """The nucleus from one stable sort of the whole vector and one cumsum."""
+    v = np.asarray(probs, dtype=float)
+    order = np.argsort(-v, kind="stable")
+    reached = np.cumsum(v[order]) >= p
+    end = int(np.argmax(reached)) + 1 if reached.any() else len(order)
+    return order[:end].tolist()
 
 
 def o_argmax_low_id(pairs) -> int:

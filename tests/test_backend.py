@@ -156,6 +156,25 @@ class TestTinyTransformer:
             TinyTransformer(**{**TINY_ARGS, name: value})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("vocab_size", "64", "vocab_size must be an integer, got '64'"),
+            ("vocab_size", 64.0, "vocab_size must be an integer, got 64.0"),
+            ("vocab_size", True, "vocab_size must be an integer, got True"),
+            ("vocab_size", 1, "vocab_size must be >= 2, got 1"),
+            ("hidden_dim", 16.0, "hidden_dim must be an integer, got 16.0"),
+            ("hidden_dim", None, "hidden_dim must be an integer, got None"),
+            ("hidden_dim", 0, "hidden_dim must be >= 1, got 0"),
+        ],
+    )
+    def test_vocab_size_and_hidden_dim_are_checked_before_use(self, name, value, message):
+        # Before BackendInfo sees them, `vocab_size - 1` and `hidden_dim % heads`
+        # run: a string or a float must be refused by name first.
+        with pytest.raises(ArgumentError) as err:
+            TinyTransformer(**{**TINY_ARGS, name: value})
+        assert str(err.value) == message
+
     def test_a_numpy_integer_seed_builds_the_same_model(self, tiny_backend):
         other = TinyTransformer(**{**TINY_ARGS, "seed": np.int64(TINY_ARGS["seed"])})
         assert np.array_equal(other.forward([3, 1]).probs, tiny_backend.forward([3, 1]).probs)

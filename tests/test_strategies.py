@@ -35,6 +35,7 @@ from ipsearch import (
     topk_set,
     topk_step,
 )
+from ipsearch import strategies
 from ipsearch.core import STRATEGIES
 
 from conftest import CountingBackend, random_scripted
@@ -46,9 +47,11 @@ from oracles import (
     o_ips_score,
     o_isotropic_value,
     o_nucleus,
+    o_nucleus_full_sort,
     o_proximal_value,
     o_response_representation,
     o_top_m,
+    o_topk_full_sort,
 )
 
 
@@ -160,6 +163,50 @@ def test_selection_sets_match_oracles_under_ties(weights, k, data):
         st.sampled_from([c for c in reached if 0.0 < c <= 1.0]),
     ))
     assert nucleus_set(probs, p) == o_nucleus(probs, p)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    vocab_size=st.one_of(st.integers(65, 5000), st.just(50257)),
+    scale=st.floats(0.5, 8.0),
+    decimals=st.sampled_from([None, 1, 0]),
+    zeros=st.floats(0.0, 0.9),
+    nans=st.integers(0, 3),
+    shortfall=st.sampled_from([0.0, 2**-52, 1e-12]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_selection_beyond_the_first_chunk_matches_a_full_sort(
+    seed, vocab_size, scale, decimals, zeros, nans, shortfall, data
+):
+    # Softmaxed logits, rounded so that ties are common, with a share of
+    # zeros, a few NaN entries and a sum that may fall just under 1: the
+    # nucleus then often reads past the helper's first chunk of 64 or more
+    # ids, or through every chunk to the full vocabulary.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    logits = rng.normal(0.0, scale, vocab_size)
+    if decimals is not None:
+        logits = np.round(logits, decimals)
+    probs = np.exp(logits - logits.max())
+    probs[rng.random(vocab_size) < zeros] = 0.0
+    probs = probs / probs.sum() * (1.0 - shortfall)
+    probs[rng.integers(0, vocab_size, nans)] = np.nan
+    order = np.argsort(-probs, kind="stable")
+    assert np.array_equal(np.concatenate(list(strategies._descending(probs))), order)
+    # Unstable chunks (beam's walk): the same values in the same places.
+    unstable = np.concatenate(list(strategies._descending(probs, None)))
+    assert np.array_equal(np.sort(unstable), np.arange(vocab_size))
+    assert np.array_equal(probs[unstable], probs[order], equal_nan=True)
+    k = data.draw(st.integers(1, vocab_size), label="k")
+    assert topk_set(probs, k) == o_topk_full_sort(probs, k)
+    reached = np.cumsum(probs[np.argsort(-probs, kind="stable")])
+    reached = reached[(reached > 0.0) & (reached <= 1.0)]
+    p = data.draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.just(1.0),
+        st.sampled_from(reached.tolist() or [1.0]),
+    ), label="p")
+    assert nucleus_set(probs, p) == o_nucleus_full_sort(probs, p)
 
 
 def path_logprob(backend, enc, tokens):
@@ -352,6 +399,45 @@ def test_beam_matches_exhaustive_expansion_under_ties(seed, vocab_size, max_new_
     width = data.draw(st.integers(1, vocab_size + 1), label="width")
     backend, ctx = tied_scripted(seed, vocab_size, eou, max_new_tokens, nudge)
     assert_beam_matches_exhaustive(backend, ctx, width, max_new_tokens)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_beam_walk_crosses_chunk_boundaries(seed, width, monkeypatch):
+    # V = 300 at depth 2: in every distribution 100-150 tokens share the top
+    # weight, each moved 0-3 ulps down. Their scores all lie within a few
+    # ulps of the cut, so the walk keeps every one of them, and the helper's
+    # first chunk of 64 or more splits them: the walk reads into the second.
+    vocab_size, eou = 300, 299
+    info = BackendInfo(vocab_size=vocab_size, hidden_dim=2, eou_token_id=eou)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = (0, eou)
+
+    def probs():
+        w = rng.integers(0, 3, size=vocab_size).astype(float)
+        top = rng.choice(vocab_size, int(rng.integers(100, 151)), replace=False)
+        w[top] = 3.0
+        p = w / w.sum()
+        for i in top:
+            for _ in range(int(rng.integers(0, 4))):
+                p[i] = np.nextafter(p[i], 0.0)
+        return p
+
+    table = {}
+    for s in [()] + [(t,) for t in range(vocab_size) if t != eou]:
+        hidden_all = [np.ones(2)] * len(base) if not s else None
+        table[base + s] = StepOutput(probs=probs(), hidden_last=np.ones(2), hidden_all=hidden_all)
+    descending, pulled = strategies._descending, []
+
+    def counted(v, *args):  # the helper, counting the chunks each walk pulls
+        pulled.append(0)
+        for chunk in descending(v, *args):
+            pulled[-1] += 1
+            yield chunk
+
+    monkeypatch.setattr(strategies, "_descending", counted)
+    assert_beam_matches_exhaustive(ScriptedBackend(info, table), DialogueContext([[0]]), width, 2)
+    assert max(pulled) >= 2
 
 
 def test_beam_walk_margin_covers_a_non_monotone_log():
