@@ -18,6 +18,7 @@ import os
 import ssl
 import threading
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -413,6 +414,13 @@ class TinyTransformer(Backend):
     ``forward`` of its prefix runs only the probe. Each call still gets its
     own session: a probe on one never changes what another's ``extend``
     reads.
+
+    With the pass it keeps the probes run over it, at most ``max_seq_len``
+    rows (the memory of a pass of that length), oldest out first, so a run
+    of probes longer than that gets no hits. A probe that repeats one over
+    rows that came the same way gets its rows bitwise and runs no pass, so
+    replies on one context share their probes. They go with the pass; a
+    session holds only its own rows. All of it is safe across threads.
     """
 
     def __init__(
@@ -447,8 +455,8 @@ class TinyTransformer(Backend):
         self._sqrt_head_dim = float(np.sqrt(hidden_dim // heads))
         self._max_seq_len = max_seq_len
         # The last sequence pass: its id tuple, hidden states, keys and values,
-        # and probs. Arrays only, so the model and its sessions form no cycle.
-        self._last: Optional[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = None
+        # probs and probes. Arrays only, so the model and its sessions form no cycle.
+        self._last: Optional[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray, _Probes]] = None
 
         rng = np.random.Generator(np.random.PCG64(int(seed)))
         d = hidden_dim
@@ -532,8 +540,8 @@ class TinyTransformer(Backend):
             h, kv = self._run(empty, ids, causal=True)
             h.setflags(write=False)
             kv.setflags(write=False)
-            last = self._last = key, h, kv, _read_only(self._probs(h[-1]))
-        return _TinySession(self, ids, *last[1:])
+            last = self._last = key, h, kv, _read_only(self._probs(h[-1])), _Probes(self._max_seq_len)
+        return _TinySession(self, ids, *last[1:4], last[0])
 
     def _probs(self, hidden: np.ndarray) -> np.ndarray:
         # Tied-embedding logits, tempered so random weights yield spread-out
@@ -550,6 +558,16 @@ class TinyTransformer(Backend):
         return StepOutput(session.probs, h[-1], h if want_all_hidden else None)
 
 
+class _Probes(OrderedDict):
+    """The probes run over one kept pass, (provenance, candidate ids) ->
+    (read-only hidden states, keys and values), at most ``bound`` rows,
+    oldest out first. Added to under ``lock`` and never iterated."""
+
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound, self.rows, self.lock = bound, 0, threading.Lock()
+
+
 class _TinySession(Session):
     """Session over a TinyTransformer's key/value cache.
 
@@ -557,39 +575,62 @@ class _TinySession(Session):
     position, each row seeing the cache and itself, not the other rows. It
     keeps only the rows' keys and values; extending by a probed token reuses
     that row's keys, values and hidden state, so no position is computed twice.
+
+    A session over the model's kept pass shares the probes kept with it,
+    keyed on its provenance: per token past the pass, (token, the ids of the
+    probe that computed its row). The same tokens reached by another probe
+    may differ in the last bit, so they are another key. Any other session
+    computes every probe and keeps none.
     """
 
     def __init__(
-        self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray, probs=None
+        self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray, probs,
+        kept: tuple, provenance: tuple = (),
     ):
         super().__init__(model, tokens, hidden_all)
         self._kv = kv  # (layers, 2, heads, prefix length, head_dim): keys, then values
         self._probs = probs  # read-only, or None until first read
-        # probed token -> (the probe's (candidates, d) hidden states, its
-        # (layers, 2, heads, candidates, head_dim) keys and values, the token's row)
-        self._probed: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._kept = kept  # the id tuple of the pass it descends from, matched by identity
+        self._provenance = provenance
+        # probed token -> ((the probe's (candidates, d) hidden states, its (layers,
+        # 2, heads, candidates, head_dim) keys and values), the token's row, the probe's ids)
+        self._probed: dict[int, tuple[tuple[np.ndarray, np.ndarray], int, tuple[int, ...]]] = {}
 
     def _next_probs(self) -> np.ndarray:
         return self._backend._probs(self.hidden_all[-1])
 
     def probe(self, candidates: Sequence[TokenId]) -> np.ndarray:
         # The session's own tokens were checked when it was opened.
-        ids = self._backend._check_candidates(candidates)
-        h, kv = self._backend._run(self._kv, ids, causal=False)
-        h = _read_only(h)
-        rows = kv[:, :, :, len(self.tokens) :].copy()
+        model = self._backend
+        ids = model._check_candidates(candidates)
+        key = self._provenance, tuple(ids)
+        last = model._last  # read once: another thread may replace it
+        probes = last[4] if last is not None and last[0] is self._kept else None
+        run = None if probes is None else probes.get(key)
+        if run is None:
+            h, kv = model._run(self._kv, ids, causal=False)
+            rows = kv[:, :, :, len(self.tokens) :].copy()
+            rows.setflags(write=False)
+            run = _read_only(h), rows
+            if probes is not None:
+                with probes.lock:
+                    if probes.setdefault(key, run) is run:
+                        probes.rows += len(ids)
+                    while probes.rows > probes.bound:
+                        probes.rows -= len(probes.popitem(last=False)[0][1])
         for i, c in enumerate(ids):
-            self._probed[c] = h, rows, i
-        return h
+            self._probed[c] = run, i, key[1]
+        return run[0]
 
     def extend(self, token: TokenId) -> Session:
         (token,) = self._backend._check_tokens([token], "token")
         if token not in self._probed:
             self.probe([token])
-        h, rows, i = self._probed[token]
+        (h, rows), i, batch = self._probed[token]
         kv = np.concatenate([self._kv, rows[:, :, :, i : i + 1]], axis=3)
         hidden_all = np.concatenate([self.hidden_all, h[i : i + 1]])
-        return _TinySession(self._backend, self.tokens + [token], hidden_all, kv)
+        provenance = self._provenance + ((token, batch),)
+        return _TinySession(self._backend, self.tokens + [token], hidden_all, kv, None, self._kept, provenance)
 
 
 def _field(doc: dict, key: str):

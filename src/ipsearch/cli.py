@@ -208,32 +208,34 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compare_row(backend, records, cfg) -> dict:
-    """Metrics for one strategy at one seed over the whole input."""
-    eou = backend.info.eou_token_id
-    responses = []
-    intra, context, elapsed = [], [], []
-    for _, ctx in records:
-        result = generate(backend, ctx, cfg)
-        tokens = np.array(result.tokens)
-        keep = tokens != eou
-        responses.append(tokens[keep].tolist())
-        elapsed.append(result.elapsed)
-        reply = _reply_session(result).hidden_all[-len(tokens):]
-        if keep.any():
-            diag = diagnostics(result, reply[keep], result.utterance_reps)
-            intra.append(diag.mean_intra_response_cosine)
-            context.append(diag.mean_context_cosine)
+def _reply_values(backend, result) -> tuple:
+    """What a compare row needs of one reply: its tokens without EOU, its
+    decode time, and its two diagnostic cosines (None for an empty reply)."""
+    tokens = np.array(result.tokens)
+    keep = tokens != backend.info.eou_token_id
+    reply = _reply_session(result).hidden_all[-len(tokens):]
+    diag = diagnostics(result, reply[keep], result.utterance_reps) if keep.any() else None
+    return tokens[keep].tolist(), result.elapsed, diag
+
+
+def _compare_row(replies) -> dict:
+    """Metrics for one strategy at one seed from its replies, in record order."""
+    responses = [tokens for tokens, _, _ in replies]
+    diags = [diag for _, _, diag in replies if diag is not None]
     return {
         "distinct2": distinct_n(responses, 2),
         "distinct4": distinct_n(responses, 4),
-        "mean_intra_response_cosine": _mean(intra),
-        "mean_context_cosine": _mean(context),
-        "mean_elapsed_s": _mean(elapsed),
+        "mean_intra_response_cosine": _mean([d.mean_intra_response_cosine for d in diags]),
+        "mean_context_cosine": _mean([d.mean_context_cosine for d in diags]),
+        "mean_elapsed_s": _mean([elapsed for _, elapsed, _ in replies]),
     }
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Decode record by record, so that a record's (strategy, seed) replies
+    share the model's kept pass of its context and the probes run over it,
+    then average each strategy's metrics over the seeds. A reply's elapsed
+    time is its own decode's, lower where an earlier reply ran its probes."""
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -243,10 +245,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise InputError("compare needs at least one strategy and one seed")
     backend, _, cfgs, records = _setup(args, [{"strategy": s, "seed": n} for s in strategies for n in seeds])
     with open(args.output, "w") as out:  # an unwritable path fails before the first decode
-        runs = iter(cfgs)  # strategy-major, as built
+        replies = [[] for _ in cfgs]  # per config, in record order
+        for rec_id, ctx in records:
+            for cfg, values in zip(cfgs, replies):
+                try:
+                    values.append(_reply_values(backend, generate(backend, ctx, cfg)))
+                except (DecodingError, TimeoutError) as exc:
+                    where = f"record {rec_id!r}, strategy {cfg.strategy!r}, seed {cfg.seed}"
+                    raise BackendFailure(f"{where}: {exc}") from exc
+        runs = iter(replies)  # strategy-major, as built
         rows = []
         for strategy in strategies:
-            per_seed = [_compare_row(backend, records, next(runs)) for _ in seeds]
+            per_seed = [_compare_row(next(runs)) for _ in seeds]
             row = {"strategy": strategy}
             for col in per_seed[0]:
                 row[col] = _r6(_mean([r[col] for r in per_seed]))

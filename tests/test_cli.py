@@ -13,7 +13,7 @@ from ipsearch import cli
 from ipsearch.cli import main
 from ipsearch.core import STRATEGIES
 
-from conftest import CountingBackend
+from conftest import TINY_ARGS, CountingBackend, count_passes
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TINY = "tiny:42,64,16,2,2"
@@ -231,6 +231,15 @@ class TestCompare:
         assert len(inside) == 3 * 2 * 2
         assert backend.forward_calls - sum(inside) == len(inside)
 
+    def test_one_context_pass_per_record(self, tmp_path, records_file, monkeypatch):
+        # Decoding runs record by record, so every (strategy, seed) reply of
+        # a record runs on the model's kept pass of its context.
+        model = TinyTransformer(**TINY_ARGS)
+        passes = count_passes(monkeypatch, model)
+        monkeypatch.setattr(cli, "build_backend", lambda spec: model)
+        self.run_compare(tmp_path, records_file, ",".join(STRATEGIES), "1,2")
+        assert passes["causal"] == 3
+
 
 class TestHeatmap:
     def test_csv_properties_and_round_trip(self, tmp_path, records_file):
@@ -407,6 +416,24 @@ def test_generate_streams_lines_and_names_the_failing_record(tmp_path, monkeypat
     (line,) = out.read_text().splitlines()
     assert json.loads(line)["id"] == "first"
     assert on_disk == ["", line + "\n"]  # the first line was flushed before the second decode
+
+
+def test_compare_names_the_record_strategy_and_seed_that_failed(tmp_path, monkeypatch, capsys):
+    model = TinyTransformer(**TINY_ARGS, max_seq_len=12)
+    monkeypatch.setattr(cli, "build_backend", lambda spec: model)
+    records = tmp_path / "in.jsonl"
+    # The second record's context is 9 tokens with the EOU, so its first
+    # reply needs a hidden state at position 13.
+    write_records(records, [
+        {"id": "short", "context_tokens": [[1, 2]]},
+        {"id": "long", "context_tokens": [[47, 48, 49, 50, 51, 52, 53, 54]]},
+    ])
+    code = run(["compare", "--input", records, "--backend", TINY, "--strategies", "topk,greedy",
+                "--seeds", "5,6", "--max-new-tokens", 4, "--output", tmp_path / "o.json"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "record 'long', strategy 'topk', seed 5: prefix length 13 exceeds max_seq_len 12" in err
+    assert "Traceback" not in err
 
 
 def test_compare_checks_every_config_before_decoding(tmp_path, records_file, monkeypatch, capsys):

@@ -1,8 +1,11 @@
 """Decoding sessions: the cached TinyTransformer session against from-scratch forwards."""
 from __future__ import annotations
 
+import dataclasses
+import gc
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from ipsearch import (
     generate,
     load_scripted,
 )
+from ipsearch.backend import _TinySession
 from ipsearch.core import STRATEGIES
 
 from conftest import TINY_ARGS, CountingBackend, count_passes, directional_scripted, random_scripted
@@ -186,7 +190,7 @@ def _assert_same_session(got, want) -> None:
     _assert_same_bits(got.probs, want.probs)
 
 
-CALLS = ("open", "forward", "forward_candidates", "probe", "extend")
+CALLS = ("open", "forward", "forward_candidates", "probe", "repeat", "extend")
 
 
 @given(
@@ -198,8 +202,9 @@ CALLS = ("open", "forward", "forward_candidates", "probe", "extend")
 def test_the_kept_pass_changes_no_bit(seed, base, data):
     # Each call is made on one model, which keeps its last pass, and on a
     # fresh model, which has none; a probe or extend goes to the pair of
-    # sessions that those calls opened. 2-3 prefixes of one base, some
-    # equal, so calls repeat a prefix or extend a kept one.
+    # sessions that those calls opened, and a repeat probes an earlier
+    # probe's candidates again. 2-3 prefixes of one base, some equal, so
+    # calls repeat a prefix or extend a kept one.
     args = (seed, VOCAB, 16, 2, 2)
     model = TinyTransformer(*args)
     prefixes = [base[:n] for n in data.draw(st.lists(st.integers(1, len(base)), min_size=2, max_size=3))]
@@ -209,7 +214,10 @@ def test_the_kept_pass_changes_no_bit(seed, base, data):
         st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=6, unique=True),
     )
     sessions = []  # (a session on model, the same session on fresh models)
+    probed = []  # the candidates of every probe so far
     for call, i, candidates in data.draw(st.lists(calls, min_size=1, max_size=16)):
+        if call == "repeat" and probed:
+            candidates = probed[i % len(probed)]
         prefix = prefixes[i % len(prefixes)]
         fresh = TinyTransformer(*args)
         if call == "open":
@@ -221,10 +229,12 @@ def test_the_kept_pass_changes_no_bit(seed, base, data):
         elif call == "forward_candidates":
             got, want = model.forward_candidates(prefix, candidates), fresh.forward_candidates(prefix, candidates)
             _assert_same_bits(got, want)
+            probed.append(candidates)
         elif sessions:
             session, ref = sessions[i % len(sessions)]
-            if call == "probe":
+            if call in ("probe", "repeat"):
                 _assert_same_bits(session.probe(candidates), ref.probe(candidates))
+                probed.append(candidates)
             else:
                 sessions.append((session.extend(candidates[0]), ref.extend(candidates[0])))
     # Read last, so some sessions' probs are first read after later calls.
@@ -294,6 +304,183 @@ def test_threads_share_the_kept_pass():
             for field in ("probs", "hidden_last", "hidden_all"):
                 _assert_same_bits(getattr(got_out, field), getattr(out, field))
             _assert_same_bits(got_rows, rows)
+
+
+def _bits(value):
+    """A step record's fields as bytes, nested like the record, so that ==
+    compares bits."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return None if value is None else np.asarray(value).tobytes()
+
+
+def _assert_same_reply(got, want) -> None:
+    assert got.tokens == want.tokens and got.stop_reason == want.stop_reason
+    assert [_bits(r) for r in got.per_step] == [_bits(r) for r in want.per_step]
+    _assert_same_bits(got.session.extend(got.tokens[-1]).hidden_all, want.session.extend(want.tokens[-1]).hidden_all)
+
+
+REPLY_CONTEXT = DialogueContext([[5, 6, 7], [8, 9]])
+
+
+def test_replies_on_one_context_share_their_passes(monkeypatch):
+    # Greedy, beam and contrastive choose alike at every seed, so the second
+    # seed's reply finds every probe kept with the context's pass and runs
+    # nothing; every reply has the bits of the same decode on a fresh model.
+    model = TinyTransformer(**TINY_ARGS)
+    passes = count_passes(monkeypatch, model)
+    for strategy in ("greedy", "beam", "contrastive"):
+        for seed in (1, 2):
+            cfg = StrategyConfig(strategy=strategy, seed=seed, max_new_tokens=12)
+            before = passes.copy()
+            got = generate(model, REPLY_CONTEXT, cfg)
+            if seed == 2:
+                assert passes == before, strategy
+            assert len(got.tokens) > 3
+            _assert_same_reply(got, generate(TinyTransformer(**TINY_ARGS), REPLY_CONTEXT, cfg))
+
+
+def test_kept_probes_are_keyed_on_how_the_rows_came():
+    # Two sessions reach the same tokens, the prefix and t, by different
+    # rows for t: one from a probe of six candidates, one from t alone. Those
+    # rows, and so every probe over them, may differ in the last bit, so
+    # neither session may take the other's kept probe: each must match its
+    # twin on a fresh model, in either order.
+    prefix, batch = [5, 6, 7, 63, 8, 9], [7, 11, 13, 17, 19, 23]
+
+    def by_batch(session, t):
+        session.probe(batch)
+        return session.extend(t)
+
+    def alone(session, t):
+        return session.extend(t)
+
+    model = TinyTransformer(**TINY_ARGS)
+    differ = 0
+    for n, t in enumerate(batch):
+        ways = (by_batch, alone) if n % 2 else (alone, by_batch)
+        rows = [way(model.open(prefix), t).probe(batch) for way in ways]
+        for way, got in zip(ways, rows):
+            _assert_same_bits(got, way(TinyTransformer(**TINY_ARGS).open(prefix), t).probe(batch))
+        differ += rows[0].tobytes() != rows[1].tobytes()
+    assert differ  # else the two ways could not tell a key on tokens from this one
+
+
+def test_kept_probes_are_bounded_by_max_seq_len(monkeypatch):
+    # 7 batches of 6 rows, and one of 40, over one kept pass of a model that
+    # keeps at most 32 probe rows: the newest batches that fit are kept, a
+    # batch larger than the bound never is, and the oldest went.
+    model = TinyTransformer(**TINY_ARGS, max_seq_len=32)
+    passes = count_passes(monkeypatch, model)
+    session = model.open([5, 6, 7, 63])
+    batches = [list(range(i, i + 6)) for i in range(0, 42, 6)]
+    for batch in [list(range(40))] + batches:
+        session.probe(batch)
+    hits = []
+    for batch in reversed(batches):  # newest first, so a miss evicts only older batches
+        before = passes["probe"]
+        session.probe(batch)
+        hits.append(passes["probe"] == before)
+    assert hits == [True] * 5 + [False] * 2
+    before = passes["probe"]
+    session.probe(list(range(40)))
+    assert passes["probe"] == before + 1
+
+
+def test_only_sessions_over_the_kept_pass_share_its_probes(monkeypatch):
+    # A session over a replaced pass reads none of the kept probes, though
+    # its key is the same, and keeps none of its own.
+    model = TinyTransformer(**TINY_ARGS)
+    passes = count_passes(monkeypatch, model)
+    old = model.open([1, 2, 63])
+    new = model.open([4, 5, 63])  # replaces the kept pass
+    new.probe([7, 8])
+    for _ in range(2):
+        _assert_same_bits(old.probe([7, 8]), TinyTransformer(**TINY_ARGS).open([1, 2, 63]).probe([7, 8]))
+    assert passes == {"causal": 2, "probe": 3}
+
+
+def test_kept_probes_go_with_the_kept_pass(monkeypatch):
+    # The probes kept with a pass hold the rows they computed, and a reply's
+    # result only its own: once the model opens another context, the rows
+    # that only reply A made die, though reply B's result lives on.
+    model = TinyTransformer(**TINY_ARGS)
+    made = []  # (weak reference, id) of every probe's rows
+    probe = _TinySession.probe
+
+    def recording(self, candidates):
+        rows = probe(self, candidates)
+        made.append((weakref.ref(rows), id(rows)))
+        return rows
+
+    monkeypatch.setattr(_TinySession, "probe", recording)
+    generate(model, REPLY_CONTEXT, StrategyConfig(strategy="contrastive", max_new_tokens=12))
+    by_a, made[:] = list(made), []
+    cfg = StrategyConfig(strategy="ips", max_new_tokens=12)  # its last session probes
+    b = generate(model, REPLY_CONTEXT, cfg)
+    gc.collect()
+    by_b = {ident for _, ident in made}
+    only_a = [ref for ref, ident in by_a if ref() is not None and ident not in by_b]
+    assert only_a  # kept with the pass until now
+    model.open([1, 2, 63])
+    gc.collect()
+    assert all(ref() is None for ref in only_a)
+    _assert_same_reply(b, generate(TinyTransformer(**TINY_ARGS), REPLY_CONTEXT, cfg))
+
+
+def test_threads_decode_one_context_while_another_opens_others():
+    # Two threads decode one context on one model, sharing the probes kept
+    # with its pass, while a third replaces that pass with other contexts'.
+    # Every reply must have the bits of the serial decode, and no thread may
+    # raise. A short switch interval makes a switch inside a call more likely.
+    model = TinyTransformer(**TINY_ARGS)
+    jobs = [
+        [StrategyConfig(strategy="greedy", seed=seed, max_new_tokens=12) for seed in (1, 2)],
+        [StrategyConfig(strategy="contrastive", max_new_tokens=12)],
+    ]
+    want = [[generate(TinyTransformer(**TINY_ARGS), REPLY_CONTEXT, cfg) for cfg in cfgs] for cfgs in jobs]
+    got = [[] for _ in jobs]
+    errors = []
+    start = threading.Barrier(len(jobs) + 1)
+
+    def decode(n):
+        start.wait(timeout=60)
+        for _ in range(30):
+            got[n].append([generate(model, REPLY_CONTEXT, cfg) for cfg in jobs[n]])
+
+    def open_others():
+        start.wait(timeout=60)
+        i = 0
+        while any(t.is_alive() for t in threads[:-1]):  # until both decoders are done
+            model.open([i % 60, 63]).probe([1, 2, 3])
+            i += 1
+
+    def guarded(target, *args):
+        try:
+            target(*args)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(decode, n)) for n in range(len(jobs))]
+    threads.append(threading.Thread(target=guarded, args=(open_others,)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    probes = model._last[4]  # a lost update to the row count shows here
+    assert probes.rows == sum(len(ids) for _, ids in probes) <= probes.bound
+    for replies, serial in zip(got, want, strict=True):
+        assert len(replies) == 30
+        for results in replies:
+            for result, ref in zip(results, serial, strict=True):
+                _assert_same_reply(result, ref)
 
 
 def test_length_errors_match_forward():
