@@ -560,8 +560,8 @@ class TinyTransformer(Backend):
 
 class _Probes(OrderedDict):
     """The probes run over one kept pass, (provenance, candidate ids) ->
-    (read-only hidden states, keys and values), at most ``bound`` rows,
-    oldest out first. Added to under ``lock`` and never iterated."""
+    (read-only hidden states, keys and values, the object naming the probe),
+    at most ``bound`` rows, oldest out first. Added to under ``lock`` and never iterated."""
 
     def __init__(self, bound: int):
         super().__init__()
@@ -577,24 +577,25 @@ class _TinySession(Session):
     that row's keys, values and hidden state, so no position is computed twice.
 
     A session over the model's kept pass shares the probes kept with it,
-    keyed on its provenance: per token past the pass, (token, the ids of the
-    probe that computed its row). The same tokens reached by another probe
-    may differ in the last bit, so they are another key. Any other session
-    computes every probe and keeps none.
+    keyed on its provenance: None on the pass, else (the object naming the
+    probe that computed its last row, the row's token). That probe's key holds
+    the provenance before it, so a key is short at any length. The same tokens
+    reached by another probe may differ in the last bit, so they are another
+    key. Any other session computes every probe and keeps none.
     """
 
     def __init__(
         self, model: TinyTransformer, tokens: list[int], hidden_all: np.ndarray, kv: np.ndarray, probs,
-        kept: tuple, provenance: tuple = (),
+        kept: tuple, provenance: Optional[tuple[object, int]] = None,
     ):
         super().__init__(model, tokens, hidden_all)
         self._kv = kv  # (layers, 2, heads, prefix length, head_dim): keys, then values
         self._probs = probs  # read-only, or None until first read
         self._kept = kept  # the id tuple of the pass it descends from, matched by identity
         self._provenance = provenance
-        # probed token -> ((the probe's (candidates, d) hidden states, its (layers,
-        # 2, heads, candidates, head_dim) keys and values), the token's row, the probe's ids)
-        self._probed: dict[int, tuple[tuple[np.ndarray, np.ndarray], int, tuple[int, ...]]] = {}
+        # probed token -> ((the probe's (candidates, d) hidden states, its (layers, 2, heads,
+        # candidates, head_dim) keys and values, the object naming it), the token's row)
+        self._probed: dict[int, tuple[tuple[np.ndarray, np.ndarray, object], int]] = {}
 
     def _next_probs(self) -> np.ndarray:
         return self._backend._probs(self.hidden_all[-1])
@@ -611,7 +612,7 @@ class _TinySession(Session):
             h, kv = model._run(self._kv, ids, causal=False)
             rows = kv[:, :, :, len(self.tokens) :].copy()
             rows.setflags(write=False)
-            run = _read_only(h), rows
+            run = _read_only(h), rows, object()
             if probes is not None:
                 with probes.lock:
                     if probes.setdefault(key, run) is run:
@@ -619,18 +620,17 @@ class _TinySession(Session):
                     while probes.rows > probes.bound:
                         probes.rows -= len(probes.popitem(last=False)[0][1])
         for i, c in enumerate(ids):
-            self._probed[c] = run, i, key[1]
+            self._probed[c] = run, i
         return run[0]
 
     def extend(self, token: TokenId) -> Session:
         (token,) = self._backend._check_tokens([token], "token")
         if token not in self._probed:
             self.probe([token])
-        (h, rows), i, batch = self._probed[token]
+        (h, rows, name), i = self._probed[token]
         kv = np.concatenate([self._kv, rows[:, :, :, i : i + 1]], axis=3)
         hidden_all = np.concatenate([self.hidden_all, h[i : i + 1]])
-        provenance = self._provenance + ((token, batch),)
-        return _TinySession(self._backend, self.tokens + [token], hidden_all, kv, None, self._kept, provenance)
+        return _TinySession(self._backend, self.tokens + [token], hidden_all, kv, None, self._kept, (name, token))
 
 
 def _field(doc: dict, key: str):
@@ -661,34 +661,34 @@ def _netrc_auth(host: str) -> tuple[str, str] | None:
 
 
 def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, str, dict]:
-    """An unopened keep-alive connection for the endpoint ``url``, the prefix of
-    its request targets, and the headers every request carries. The proxy is the
-    scheme's (``HTTP_PROXY``, ``HTTPS_PROXY``), else ``ALL_PROXY``, with ``http://``
-    added when it names no scheme; ``NO_PROXY`` hosts go direct. A plain-HTTP
-    request goes to the proxy with the absolute URL as its target; an HTTPS one
+    """An unopened keep-alive connection for the endpoint ``url``, the prefix of its (printable
+    ASCII) request targets, and the headers every request carries but Content-Length, as
+    http.client sends them. The proxy is the scheme's (``HTTP_PROXY``, ``HTTPS_PROXY``), else
+    ``ALL_PROXY``, with ``http://`` added when it names no scheme; ``NO_PROXY`` hosts go direct.
+    A plain-HTTP request goes to the proxy with the absolute URL as its target; an HTTPS one
     is tunnelled through it. Credentials come from .netrc, else the URL."""
     parts = urlsplit(url)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    printable = all("!" <= c <= "~" for c in parts.path)
+    if parts.scheme not in ("http", "https") or not parts.hostname or not printable:
         raise ProtocolError(f"endpoint {url!r} is not an http or https URL")
-    headers = {"Content-Type": "application/json", "Accept": "application/json"}
+    https = parts.scheme == "https"
+    host = parts.hostname if parts.hostname.isascii() else parts.hostname.encode("idna").decode("ascii")
+    host = f"[{host.partition('%')[0]}]" if ":" in host else host
+    host += "" if parts.port in (None, 443 if https else 80) else f":{parts.port}"
+    headers = {"Host": host, "Accept-Encoding": "identity"}
+    headers |= {"Content-Type": "application/json", "Accept": "application/json"}
     auth = _netrc_auth(parts.hostname) or _url_auth(parts)
     if any(auth):
         headers["Authorization"] = _basic_auth(*auth)
-    https = parts.scheme == "https"
     ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
     ca_args = {("capath" if os.path.isdir(ca) else "cafile"): ca} if ca else {}
-    context = ssl.create_default_context(**ca_args) if https else None
-
-    def connect(host: str, port: int | None) -> http.client.HTTPConnection:
-        if https:
-            return http.client.HTTPSConnection(host, port, timeout=timeout, context=context)
-        return http.client.HTTPConnection(host, port, timeout=timeout)
-
+    tls = {"context": ssl.create_default_context(**ca_args)} if https else {}
+    kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
     proxies = getproxies_environment()
     proxy = proxies.get(parts.scheme) or proxies.get("all")
     bypass_host = f"{parts.hostname}:{parts.port}" if parts.port else parts.hostname  # IPv6 unbracketed
     if not proxy or proxy_bypass_environment(bypass_host, proxies):
-        return connect(parts.hostname, parts.port), parts.path, headers
+        return kind(parts.hostname, parts.port, timeout=timeout, **tls), parts.path, headers
     if "://" not in proxy:
         proxy = "http://" + proxy
     proxy_parts = urlsplit(proxy)
@@ -696,11 +696,62 @@ def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, s
         raise ProtocolError(f"unsupported proxy {proxy!r}: only http:// proxies are supported")
     user, password = _url_auth(proxy_parts)
     proxy_auth = {"Proxy-Authorization": _basic_auth(user, password)} if user else {}
-    conn = connect(proxy_parts.hostname, proxy_parts.port)
+    conn = kind(proxy_parts.hostname, proxy_parts.port, timeout=timeout, **tls)
     if https:
         conn.set_tunnel(parts.hostname, parts.port, headers=proxy_auth)
         return conn, parts.path, headers
-    return conn, f"http://{parts.netloc.rpartition('@')[2]}{parts.path}", {**headers, **proxy_auth}
+    netloc = parts.netloc.rpartition("@")[2]
+    return conn, f"http://{netloc}{parts.path}", {**headers, "Host": netloc, **proxy_auth}
+
+
+def _line(fp, what: str) -> bytes:
+    if len(line := fp.readline(65537)) > 65536:  # http.client's limit
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _fields(fp) -> dict[bytes, bytes]:
+    """The header (or trailer) lines up to a blank one: lower-case name -> first value."""
+    lines = []
+    while (line := _line(fp, "header line")) not in (b"\r\n", b"\n", b""):
+        lines.append(line.partition(b":"))
+        if len(lines) == 100:  # with the blank line, one more than http.client takes
+            raise http.client.HTTPException("got more than 100 headers")
+    return {name.lower(): value.strip() for name, _, value in reversed(lines)}
+
+
+def _read(fp, n: int) -> bytes:
+    """The next ``n`` bytes of ``fp``, a MiB at a time: a false length costs no memory."""
+    data = bytearray()
+    while len(data) < n and (part := fp.read(min(n - len(data), 1 << 20))):
+        data += part
+    if len(data) != n:
+        raise http.client.IncompleteRead(bytes(data), n - len(data))
+    return bytes(data)
+
+
+def _response(fp, line: bytes) -> tuple[int, bytes, bool]:
+    """The status and body of the response whose first line is ``line``, after any 100 Continue, and
+    whether the connection stays open, by http.client's rules and limits; a bad number raises ValueError."""
+    while True:
+        version, status, *_ = line.split(None, 2)
+        if not version.startswith((b"HTTP/1.", b"HTTP/0.9")) or not 100 <= (code := int(status)) <= 999:
+            raise http.client.BadStatusLine(line.decode("latin-1"))
+        fields = _fields(fp)
+        if code != 100:
+            break
+        line = _line(fp, "status line")
+    connection = fields.get(b"connection", b"").lower()
+    keep = b"keep-alive" in connection if version in (b"HTTP/1.0", b"HTTP/0.9") else b"close" not in connection
+    if fields.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while (size := int(_line(fp, "chunk size").partition(b";")[0], 16)) != 0:
+            chunks.append(_read(fp, size))
+            _read(fp, 2)  # the CRLF after the chunk
+        _fields(fp)  # the trailer
+        return code, b"".join(chunks), keep
+    length = b"0" if code in (204, 304) or code < 200 else fields.get(b"content-length")
+    return (code, fp.read(), False) if length is None else (code, _read(fp, int(length)), keep)
 
 
 class RemoteBackend(Backend):
@@ -711,17 +762,18 @@ class RemoteBackend(Backend):
     "logits" instead of "probs"; logits are normalized client-side with a
     softmax.
 
-    Each instance sends its requests over one keep-alive ``http.client``
-    connection. A lock holds each request and its response together, so
-    threads may share an instance: their requests take turns on the
-    connection. The proxy, CA bundle and .netrc settings for the endpoint are
-    read from the environment once, here, by the standard library's rules (see
-    ``_connection``). HTTPS trusts the CA file or directory that
-    ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``, names, else the system
-    store (which honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``). ``NO_PROXY``
-    lists exact hosts, suffixes that start at a dot, or ``*``; CIDR ranges are
-    not honoured. No ``User-Agent`` header is sent. Redirects are not followed
-    (a 3xx status raises ``ProtocolError``) and no compression is advertised.
+    Each instance keeps one keep-alive connection, which ``http.client`` opens
+    (direct, TLS, an http proxy or a CONNECT tunnel); a request is one write to it,
+    and the client reads the response itself (see ``_response``). A lock holds each
+    request and its response together, so threads may share an instance: their
+    requests take turns on the connection. The proxy, CA bundle and .netrc settings
+    for the endpoint are read from the environment once, here, by the standard
+    library's rules (see ``_connection``). HTTPS trusts the CA file or directory
+    that ``REQUESTS_CA_BUNDLE``, else ``CURL_CA_BUNDLE``, names, else the system
+    store (which honours ``SSL_CERT_FILE`` and ``SSL_CERT_DIR``). ``NO_PROXY`` lists
+    exact hosts, suffixes that start at a dot, or ``*``; CIDR ranges are not
+    honoured. No ``User-Agent`` header is sent. Redirects are not followed (a 3xx
+    status raises ``ProtocolError``) and no compression is advertised.
     """
 
     def __init__(self, endpoint_url: str, timeout: float = 10.0):
@@ -736,9 +788,11 @@ class RemoteBackend(Backend):
         # The connection keeps the name ``_session``: the benchmark closes
         # it to let its wire server stop.
         try:
-            self._session, self._target, self._headers = _connection(self._url, timeout)
+            self._session, self._target, headers = _connection(self._url, timeout)
         except (OSError, ValueError) as exc:
             raise ProtocolError(f"cannot connect to {self._url}: {exc}") from exc
+        lines = [f"{name}: {value}\r\n" for name, value in headers.items()]
+        self._head = "".join(lines[:2]), "".join(lines[2:]) + "\r\n"  # Content-Length goes between
         try:
             self._info = _json_info(self._request("GET", "/info"), ProtocolError)
         except ProtocolError:  # a refused handshake: no instance owns the connection
@@ -750,25 +804,31 @@ class RemoteBackend(Backend):
         return self._info
 
     def _exchange(self, method: str, path: str, data: bytes | None) -> tuple[int, bytes]:
-        """Send one request and read the whole response: its status and body.
-
-        A reused connection that the server has since closed fails before any
-        response line arrives; the request is then sent once more, on a fresh
-        connection. Requests are pure functions of the prefix, so resending is
-        safe. A failure on a fresh connection is not retried.
-        """
-        conn = self._session
+        """Send one request, in one write, and read the whole response: its status and body. A
+        response that ends the connection closes it. A reused connection that the server has since
+        closed fails before any response line arrives; the request is then sent once more, on a fresh
+        connection. Requests are pure functions of the prefix, so resending is safe. A failure on a
+        fresh connection is not retried."""
+        length = "" if data is None else f"Content-Length: {len(data)}\r\n"
+        request = f"{method} {self._target}{path} HTTP/1.1\r\n{self._head[0]}{length}{self._head[1]}".encode()
+        conn, line = self._session, b""
         while True:
-            reused = conn.sock is not None
-            try:
-                conn.request(method, self._target + path, data, self._headers)
-                response = conn.getresponse()
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is the first
-                if not reused:
-                    raise
+            if not (reused := conn.sock is not None):
+                conn.connect()
+            with conn.sock.makefile("rb") as fp:  # closed with the exchange, so close() ends the connection
+                try:
+                    conn.sock.sendall(request + (data or b""))
+                    if not (line := _line(fp, "status line")):
+                        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+                    status, payload, keep = _response(fp, line)
+                except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected is the first
+                    if not reused or line:
+                        raise
+                    conn.close()
+                    continue
+            if not keep:
                 conn.close()
-                continue
-            return response.status, response.read()
+            return status, payload
 
     def _request(self, method: str, path: str, body: dict | None = None) -> dict:
         """The JSON object a request returns. A failed request closes the
@@ -781,7 +841,7 @@ class RemoteBackend(Backend):
             except TimeoutError as exc:
                 self._session.close()
                 raise TimeoutError(f"{method} {url} timed out after {self._timeout}s") from exc
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, http.client.HTTPException, ValueError) as exc:  # ValueError: a bad number
                 self._session.close()
                 raise ProtocolError(f"{method} {url} failed: {exc}") from exc
         if status != 200:

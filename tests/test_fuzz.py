@@ -2,7 +2,8 @@
 
 Each test feeds random, mostly near-valid documents in and asserts only the
 contract: the CLI ends with a documented exit code, and the remote client
-raises ``ProtocolError`` or hands out a checked output.
+raises ``ProtocolError`` or hands out a checked output, for fuzzed JSON
+bodies and for fuzzed HTTP framing around valid ones.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from ipsearch.backend import PROB_SUM_TOL
 from ipsearch.cli import main
 from ipsearch.core import BOOTSTRAP_STRATEGIES, PENALTY_FORMS, STRATEGIES
 
-from wire_server import BackendHTTPServer
+from wire_server import BackendHTTPServer, RawServer, wire_doc
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TINY = "tiny:42,64,16,2,2"
@@ -218,3 +219,129 @@ def _check_replies(remote: RemoteBackend) -> None:
     else:
         event("/forward_batch checked")
         assert rows.shape == (2, d) and np.isfinite(rows).all()
+
+
+# Raw responses: a valid body in fuzzed HTTP framing. The status line, header
+# lines and chunk sizes are drawn near valid ones, and the bytes may be cut
+# at any offset. Every call must hand out a checked output or raise
+# ProtocolError or TimeoutError. The server closes the connection after each
+# fuzzed response, so a client that waited for more bytes would see the end
+# of the stream at once, not a timeout.
+SERVED = TinyTransformer(1, 5, 3, 1, 1)
+REQUESTS = {  # the requests _check_replies makes
+    "/info": ("GET", b""),
+    "/forward": ("POST", json.dumps({"tokens": [0, 1], "return_hidden": "last"}).encode()),
+    "/forward_batch": ("POST", json.dumps({"prefix": [0], "candidates": [0, 1]}).encode()),
+}
+VALID_BODIES = {
+    path: json.dumps(wire_doc(SERVED, method, path, body)).encode() for path, (method, body) in REQUESTS.items()
+}
+ends = st.sampled_from([b"\r\n", b"\n"])
+status_lines = st.one_of(
+    st.builds(
+        lambda version, code, end: b"%s %s OK%s" % (version, code, end),
+        st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/0.9", b"HTTP/2", b"HTTPS/1.1", b""]),
+        st.sampled_from([b"200", b"204", b"304", b"101", b"500", b"2x0", b"99", b"1000", b""]),
+        ends,
+    ),
+    st.just(b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"),
+    st.binary(max_size=12),
+)
+
+
+def _header_lines(length: int):
+    names = st.sampled_from([b"Content-Length", b"Transfer-Encoding", b"Connection", b"Keep-Alive", b"X-A"])
+    """Up to four header lines near valid ones, then none, a line at or one byte
+    over the length limit, or 100 more lines, over the count limit."""
+    names = st.sampled_from([b"Content-Length", b"Transfer-Encoding", b"Connection", b"Keep-Alive", b"X-A"])
+    values = st.one_of(
+        st.sampled_from([b"chunked", b"close", b"keep-alive", b"-1", b""]),
+        st.integers(max(0, length - 2), length + 2).map(b"%d".__mod__),
+        st.binary(max_size=6),
+    )
+    fields = st.lists(st.builds(lambda n, v, e: n + b": " + v + e, names, values, ends), max_size=4)
+    long = [[b"X-Long: " + b"a" * n + b"\r\n"] for n in (65526, 65527)]
+    limits = st.sampled_from([[], *long, [b"X: y\r\n"] * 100])
+    return st.builds(lambda a, b: a + b, fields, limits)
+
+
+# A chunk's size line for a chunk of n bytes: true, with an extension, one
+# too large, or not a size.
+size_lines = st.sampled_from(
+    [lambda n: b"%x" % n, lambda n: b"%X;ext=1" % n, lambda n: b"%x" % (n + 1), lambda n: b"zz", lambda n: b""]
+)
+
+
+def _chunked(body: bytes):
+    """``body`` in up to four chunks, then the last chunk and maybe a trailer field."""
+
+    def frame(cuts, sizes, trailer):
+        edges = sorted({0, len(body), *cuts})
+        chunks = [body[a:b] for a, b in zip(edges, edges[1:])]
+        lines = [size(len(chunk)) + b"\r\n" + chunk + b"\r\n" for chunk, size in zip(chunks, sizes)]
+        return b"".join(lines) + b"0\r\n" + trailer + b"\r\n"
+
+    return st.builds(
+        frame,
+        st.lists(st.integers(0, len(body)), max_size=3),
+        st.lists(size_lines, min_size=4, max_size=4),
+        st.sampled_from([b"", b"X-Trailer: t\r\n"]),
+    )
+
+
+def _raw_responses(body: bytes):
+    framings = st.sampled_from(["length", "chunked", "to the end"]).flatmap(
+        lambda how: {
+            "length": st.just((b"Content-Length: %d\r\n" % len(body), body)),
+            "chunked": _chunked(body).map(lambda chunks: (b"Transfer-Encoding: chunked\r\n", chunks)),
+            "to the end": st.just((b"", body)),
+        }[how]
+    )
+    raw = st.builds(
+        lambda status, framing, lines, end: status + framing[0] + b"".join(lines) + end + framing[1],
+        status_lines, framings, _header_lines(len(body)), ends,
+    )  # fmt: skip
+    return raw.flatmap(lambda data: st.one_of(st.just(data), st.integers(0, len(data)).map(lambda n: data[:n])))
+
+
+fuzzed_responses = st.sampled_from(list(VALID_BODIES)).flatmap(
+    lambda path: _raw_responses(VALID_BODIES[path]).map(lambda data: (path, data))
+)
+
+
+@pytest.fixture(scope="module")
+def raw_server():
+    """A server that answers the path in ``raw`` with its bytes, then closes,
+    and every other path with the served model's document, kept alive."""
+    raw: dict = {}
+
+    def answer(method, path, body):
+        if path in raw:
+            return raw[path], True
+        doc = json.dumps(wire_doc(SERVED, method, path, body)).encode()
+        return b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(doc), doc), False
+
+    with RawServer(answer) as server:
+        yield server, raw
+
+
+@given(response=fuzzed_responses)
+@FUZZ
+def test_remote_client_refuses_or_checks_every_framing(raw_server, response):
+    server, raw = raw_server
+    raw.clear()
+    raw.update([response])
+    try:
+        remote = RemoteBackend(server.url, timeout=5)
+    except ProtocolError:
+        event("/info refused")
+        return
+    except TimeoutError:
+        event("/info timed out")
+        return
+    try:
+        _check_replies(remote)
+    except TimeoutError:
+        event("timed out")
+    finally:
+        remote._session.close()

@@ -4,6 +4,7 @@ from __future__ import annotations
 import base64
 import gc
 import importlib.util
+import json
 import math
 import os
 import shutil
@@ -33,7 +34,7 @@ from ipsearch import (
 from ipsearch.backend import _connection
 
 from conftest import count_passes
-from wire_server import HANGUP, BackendHTTPServer, ForwardingProxy, RawBody
+from wire_server import HANGUP, BackendHTTPServer, ForwardingProxy, RawBody, RawServer, wire_doc
 
 SMALL = dict(seed=42, vocab_size=64, hidden_dim=16, layers=1, heads=2)
 
@@ -370,6 +371,246 @@ def test_redirect_is_not_followed(wrapped, status):
         with pytest.raises(ProtocolError, match=f"HTTP {status}"):
             remote.forward([1])
         assert server.requests["/info"] == 1
+
+
+# The framing of the exchange, byte by byte, against a server of raw bytes:
+# the requests the client sends, and the responses it reads.
+
+
+def _keep_alive(body: bytes, *headers: str) -> tuple[bytes, bool]:
+    """An HTTP/1.1 200 with a Content-Length and ``headers``; the connection stays open."""
+    extra = "".join(f"{h}\r\n" for h in headers)
+    return f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n{extra}\r\n".encode() + body, False
+
+
+def _answers(model, forward=_keep_alive):
+    """A ``RawServer`` answer: ``model``'s document for each request, the last
+    path segment naming the request, framed by ``forward`` on /forward and as
+    a keep-alive 200 on every other path."""
+
+    def answer(method, path, body):
+        path = "/" + path.rsplit("/", 1)[1]
+        doc = json.dumps(wire_doc(model, method, path, body)).encode()
+        return (forward if path == "/forward" else _keep_alive)(doc)
+
+    return answer
+
+
+@pytest.mark.parametrize(
+    "endpoint, proxy, requests",
+    [
+        ("{server}", None, [
+            "GET /info HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\n\r\n",
+            "POST /forward HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: 43\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\n\r\n"
+            '{{"tokens": [1, 2], "return_hidden": "last"}}',
+            "POST /forward_batch HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: 37\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\n\r\n"
+            '{{"prefix": [3], "candidates": [4, 5]}}',
+        ]),
+        ("http://u:p%40ss@{host}/v1/", None, [
+            "GET /v1/info HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\nAuthorization: Basic dTpwQHNz\r\n\r\n",
+            "POST /v1/forward HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: 43\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\nAuthorization: Basic dTpwQHNz\r\n\r\n"
+            '{{"tokens": [1, 2], "return_hidden": "last"}}',
+            "POST /v1/forward_batch HTTP/1.1\r\nHost: {host}\r\nAccept-Encoding: identity\r\nContent-Length: 37\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\nAuthorization: Basic dTpwQHNz\r\n\r\n"
+            '{{"prefix": [3], "candidates": [4, 5]}}',
+        ]),
+        # The raw server is the proxy; model.test is never looked up.
+        ("http://Model.test:8080/v1", "http://pat:s%40cret@{host}", [
+            "GET http://Model.test:8080/v1/info HTTP/1.1\r\nHost: Model.test:8080\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\n"
+            "Proxy-Authorization: Basic cGF0OnNAY3JldA==\r\n\r\n",
+            "POST http://Model.test:8080/v1/forward HTTP/1.1\r\nHost: Model.test:8080\r\nAccept-Encoding: identity\r\n"
+            "Content-Length: 43\r\nContent-Type: application/json\r\nAccept: application/json\r\n"
+            "Proxy-Authorization: Basic cGF0OnNAY3JldA==\r\n\r\n"
+            '{{"tokens": [1, 2], "return_hidden": "last"}}',
+            "POST http://Model.test:8080/v1/forward_batch HTTP/1.1\r\nHost: Model.test:8080\r\n"
+            "Accept-Encoding: identity\r\nContent-Length: 37\r\nContent-Type: application/json\r\n"
+            "Accept: application/json\r\nProxy-Authorization: Basic cGF0OnNAY3JldA==\r\n\r\n"
+            '{{"prefix": [3], "candidates": [4, 5]}}',
+        ]),
+        ("http://u:pw@model.test", "{host}", [
+            "GET http://model.test/info HTTP/1.1\r\nHost: model.test\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\nAccept: application/json\r\nAuthorization: Basic dTpwdw==\r\n\r\n",
+            "POST http://model.test/forward HTTP/1.1\r\nHost: model.test\r\nAccept-Encoding: identity\r\n"
+            "Content-Length: 43\r\nContent-Type: application/json\r\nAccept: application/json\r\n"
+            "Authorization: Basic dTpwdw==\r\n\r\n"
+            '{{"tokens": [1, 2], "return_hidden": "last"}}',
+            "POST http://model.test/forward_batch HTTP/1.1\r\nHost: model.test\r\nAccept-Encoding: identity\r\n"
+            "Content-Length: 37\r\nContent-Type: application/json\r\nAccept: application/json\r\n"
+            "Authorization: Basic dTpwdw==\r\n\r\n"
+            '{{"prefix": [3], "candidates": [4, 5]}}',
+        ]),
+    ],
+    ids=["plain", "credentials in the URL", "http proxy with credentials", "credentials through a proxy"],
+)  # fmt: skip
+def test_requests_are_the_bytes_http_client_sent(wrapped, clean_env, tmp_path, endpoint, proxy, requests):
+    clean_env.setenv("NETRC", str(tmp_path / "no-netrc"))
+    with RawServer(_answers(wrapped)) as server:
+        host = server.url.removeprefix("http://")
+        if proxy is not None:
+            clean_env.setenv("HTTP_PROXY", proxy.format(host=host))
+        remote = RemoteBackend(endpoint.format(server=server.url, host=host))
+        remote.forward([1, 2])
+        remote.forward_candidates([3], [4, 5])
+        remote._session.close()
+    assert server.requests == [r.format(host=host).encode() for r in requests]
+    assert server.connections == 1
+
+
+def _chunked(body: bytes) -> tuple[bytes, bool]:
+    # Two chunks, the first with an extension, the second's size in upper
+    # case, then a trailer field.
+    return (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        + b"7;name=value\r\n%s\r\n%X\r\n%s\r\n" % (body[:7], len(body) - 7, body[7:])
+        + b"0\r\nX-Checksum: none\r\n\r\n",
+        False,
+    )
+
+
+def _until_close(body: bytes) -> tuple[bytes, bool]:
+    # HTTP/1.0 without a Content-Length: the body ends where the server closes.
+    return b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body, True
+
+
+def _http10(*headers: str):
+    """An HTTP/1.0 200 with a Content-Length and ``headers``; the server leaves
+    the connection open, so only the client's reading closes it."""
+
+    def frame(body: bytes) -> tuple[bytes, bool]:
+        data, close = _keep_alive(body, *headers)
+        return data.replace(b"HTTP/1.1", b"HTTP/1.0", 1), close
+
+    return frame
+
+
+def _connection_close(body: bytes) -> tuple[bytes, bool]:
+    # The server says it closes, but leaves the connection open: only the
+    # client's reading of the header makes the next call reconnect.
+    return _keep_alive(body, "Connection: close")
+
+
+def _after_continue(body: bytes) -> tuple[bytes, bool]:
+    data, close = _keep_alive(body)
+    return b"HTTP/1.1 100 Continue\r\nX-Interim: yes\r\n\r\n" + data, close
+
+
+def _limits(body: bytes) -> tuple[bytes, bool]:
+    # http.client's limits, met exactly: a 65 536-byte line and 99 fields.
+    long = "X-Long: " + "a" * (65536 - len("X-Long: \r\n"))
+    return _keep_alive(body, long, *(f"X-{i}: {i}" for i in range(97)))
+
+
+@pytest.mark.parametrize(
+    "frame, connections",
+    [
+        (_chunked, 1),
+        (_until_close, 2),
+        (_http10(), 2),
+        (_http10("Connection: Keep-Alive"), 1),
+        (_connection_close, 2),
+        (_after_continue, 1),
+        (_limits, 1),
+    ],
+    ids=[
+        "chunked", "close-delimited HTTP/1.0", "HTTP/1.0", "HTTP/1.0 keep-alive", "Connection: close",
+        "100 Continue", "at the limits",
+    ],  # fmt: skip
+)
+def test_response_framings_are_read(wrapped, frame, connections):
+    with RawServer(_answers(wrapped, frame)) as server:
+        remote = RemoteBackend(server.url)
+        for prefix in ([1, 2], [3, 4, 5]):
+            got = remote.forward(prefix)
+            want = wrapped.forward(prefix)
+            np.testing.assert_allclose(got.probs, want.probs, atol=1e-12)
+            np.testing.assert_allclose(got.hidden_last, want.hidden_last, atol=1e-12)
+        remote._session.close()
+    assert len(server.requests) == 3
+    assert server.connections == connections
+
+
+@pytest.mark.parametrize(
+    "frame, close",
+    [
+        (lambda body: b"HTTP/1.1 2x0 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body), False),
+        (lambda body: b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n%s\r\n0\r\n\r\n" % body, False),
+        (lambda body: b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body) + 1, body), True),
+        (lambda body: _keep_alive(body, "X-Long: " + "a" * (65537 - len("X-Long: \r\n")))[0], False),
+        (lambda body: b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000, False),
+        (lambda body: _keep_alive(body, *(f"X-{i}: {i}" for i in range(100)))[0], False),
+    ],
+    ids=[
+        "malformed status line", "bad chunk size", "short body", "65 537-byte header line",
+        "header line without an end", "101 headers",
+    ],
+)  # fmt: skip
+def test_malformed_responses_are_refused(wrapped, frame, close):
+    # Only the short body needs the end of the stream to be found short; the
+    # others must be refused while the server still holds the connection open.
+    with RawServer(_answers(wrapped, lambda body: (frame(body), close))) as server:
+        remote = RemoteBackend(server.url)
+        with pytest.raises(ProtocolError, match="^POST .*/forward failed"):
+            remote.forward([1, 2])
+        got = remote.forward_candidates([1, 2], [3])  # a fresh connection after the failure
+        np.testing.assert_allclose(got, wrapped.forward_candidates([1, 2], [3]), atol=1e-12)
+        remote._session.close()
+    assert server.connections == 2
+
+
+def test_a_reset_after_the_status_line_is_not_resent(wrapped):
+    # Only a reused connection that fails before a status line arrives is
+    # resent; this one is reused, and fails after it.
+    served = []
+
+    def frame(body):
+        served.append(body)
+        return (b"HTTP/1.1 200 OK\r\n", "reset") if len(served) > 1 else _keep_alive(body)
+
+    with RawServer(_answers(wrapped, frame)) as server:
+        remote = RemoteBackend(server.url)
+        remote.forward([1, 2])
+        with pytest.raises(ProtocolError, match="^POST .*/forward failed"):
+            remote.forward([1, 2])
+        remote._session.close()
+    assert len(served) == 2
+
+
+@pytest.mark.parametrize(
+    "head",
+    [b"Content-Length: 1000000000000", b"Transfer-Encoding: chunked\r\n\r\nffffffffff"],
+    ids=["length", "chunk size"],
+)
+def test_a_false_length_is_refused_without_allocating_it(wrapped, head):
+    # A terabyte is claimed and a few bytes follow; reading the claim in one
+    # allocation raises MemoryError, which is not the documented error.
+    def frame(body):
+        return b"HTTP/1.1 200 OK\r\n%s\r\n\r\n%s" % (head, body), True
+
+    with RawServer(_answers(wrapped, frame)) as server:
+        remote = RemoteBackend(server.url)
+        with pytest.raises(ProtocolError, match="^POST .*/forward failed: IncompleteRead"):
+            remote.forward([1, 2])
+        remote._session.close()
+
+
+@pytest.mark.parametrize("status", [101, 204, 304])
+def test_a_status_without_a_body_keeps_the_connection(wrapped, status):
+    # No Content-Length, and the server holds the connection open: a client
+    # that read a body here would wait for its end.
+    with RawServer(_answers(wrapped, lambda body: (b"HTTP/1.1 %d X\r\n\r\n" % status, False))) as server:
+        remote = RemoteBackend(server.url, timeout=5)
+        with pytest.raises(ProtocolError, match=f"returned HTTP {status}$"):
+            remote.forward([1, 2])
+        got = remote.forward_candidates([1, 2], [3])
+        np.testing.assert_allclose(got, wrapped.forward_candidates([1, 2], [3]), atol=1e-12)
+        remote._session.close()
+    assert server.connections == 1
 
 
 # The environment settings the client reads: proxies, .netrc and CA bundles.

@@ -1,11 +1,14 @@
 """Reference JSON-over-HTTP inference server used to exercise the remote client,
-and a forwarding HTTP proxy to put in front of it."""
+a forwarding HTTP proxy to put in front of it, and a server of raw response
+bytes to pin the client's HTTP framing."""
 from __future__ import annotations
 
 import http.client
 import json
+import re
 import select
 import socket
+import struct
 import threading
 import time
 from collections import Counter
@@ -26,6 +29,26 @@ class RawBody:
 # A transform that returns this makes the server close the connection
 # without answering.
 HANGUP = object()
+
+
+def wire_doc(backend, method: str, path: str, body: bytes) -> dict | None:
+    """``backend``'s answer in the wire protocol to a request with the JSON
+    ``body``: a JSON document, or None for an unknown method and path."""
+    if (method, path) == ("GET", "/info"):
+        info = backend.info
+        return {"vocab_size": info.vocab_size, "hidden_dim": info.hidden_dim, "eou_token_id": info.eou_token_id}
+    if method != "POST" or path not in ("/forward", "/forward_batch"):
+        return None
+    req = json.loads(body)
+    if path == "/forward_batch":
+        hiddens = backend.forward_candidates(req["prefix"], req["candidates"])
+        return {"hidden": [[float(x) for x in h] for h in hiddens]}
+    want_all = req.get("return_hidden") == "all"
+    out = backend.forward(req["tokens"], want_all_hidden=want_all)
+    doc = {"probs": [float(x) for x in out.probs], "hidden_last": [float(x) for x in out.hidden_last]}
+    if want_all:
+        doc["hidden_all"] = [[float(x) for x in h] for h in out.hidden_all]
+    return doc
 
 
 class BackendHTTPServer:
@@ -144,38 +167,18 @@ class BackendHTTPServer:
                 self.wfile.write(raw.data)
 
             def do_GET(self):
-                outer._count(self.path, self.headers)
-                if self.path != "/info":
-                    self.send_error(404)
-                    return
-                info = outer._backend.info
-                self._respond(
-                    {
-                        "vocab_size": info.vocab_size,
-                        "hidden_dim": info.hidden_dim,
-                        "eou_token_id": info.eou_token_id,
-                    }
-                )
+                self._answer(b"")
 
             def do_POST(self):
+                self._answer(self.rfile.read(int(self.headers.get("Content-Length", "0"))))
+
+            def _answer(self, body: bytes):
                 outer._count(self.path, self.headers)
-                length = int(self.headers.get("Content-Length", "0"))
-                req = json.loads(self.rfile.read(length))
-                if self.path == "/forward":
-                    want_all = req.get("return_hidden") == "all"
-                    out = outer._backend.forward(req["tokens"], want_all_hidden=want_all)
-                    doc = {
-                        "probs": [float(x) for x in out.probs],
-                        "hidden_last": [float(x) for x in out.hidden_last],
-                    }
-                    if want_all:
-                        doc["hidden_all"] = [[float(x) for x in h] for h in out.hidden_all]
-                    self._respond(doc)
-                elif self.path == "/forward_batch":
-                    hiddens = outer._backend.forward_candidates(req["prefix"], req["candidates"])
-                    self._respond({"hidden": [[float(x) for x in h] for h in hiddens]})
-                else:
+                doc = wire_doc(outer._backend, self.command, self.path, body)
+                if doc is None:
                     self.send_error(404)
+                    return
+                self._respond(doc)
 
         return Handler
 
@@ -258,3 +261,100 @@ class ForwardingProxy:
                             peers[sock].sendall(data)
 
         return Handler
+
+
+class RawServer:
+    """An HTTP server of raw bytes on an ephemeral localhost port, to pin a
+    client's framing byte by byte.
+
+    ``answer(method, path, body)`` returns the bytes to send for a request,
+    and whether to close the connection after them: False, True, or
+    ``"reset"`` to abort it with a TCP reset. ``path`` is the target's path,
+    also when the target is an absolute URL. ``requests`` holds each
+    request's bytes, its head and body, as received, and ``connections``
+    counts the connections accepted. Each connection has its own thread.
+    """
+
+    def __init__(self, answer):
+        self.requests: list[bytes] = []
+        self.connections = 0
+        self._answer = answer
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._open: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+        self._stopping = False
+        self._acceptor = threading.Thread(target=self._accept, daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self._listener.getsockname()
+        return f"http://{host}:{port}"
+
+    def __enter__(self):
+        self._acceptor.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stopping = True
+        socket.create_connection(self._listener.getsockname(), timeout=5).close()  # wakes accept()
+        self._acceptor.join(timeout=10)
+        self._listener.close()
+        with self._lock:
+            for conn in self._open:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        for thread in self._threads:
+            thread.join(timeout=10)
+        if self._acceptor.is_alive() or any(t.is_alive() for t in self._threads):
+            raise RuntimeError("raw server threads did not stop")
+
+    def _accept(self) -> None:
+        while True:
+            conn, _ = self._listener.accept()
+            if self._stopping:
+                conn.close()
+                return
+            with self._lock:
+                self.connections += 1
+                self._open.add(conn)
+            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        conn.settimeout(10)
+        buf = b""
+        try:
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    data = conn.recv(65536)
+                    if not data:
+                        return
+                    buf += data
+                head, _, buf = buf.partition(b"\r\n\r\n")
+                length = re.search(rb"(?im)^content-length:\s*(\d+)", head)
+                length = int(length[1]) if length else 0
+                while len(buf) < length:
+                    data = conn.recv(65536)
+                    if not data:
+                        return
+                    buf += data
+                body, buf = buf[:length], buf[length:]
+                with self._lock:
+                    self.requests.append(head + b"\r\n\r\n" + body)
+                method, target = head.split(b"\r\n", 1)[0].decode("latin-1").split(" ")[:2]
+                data, close = self._answer(method, urlsplit(target).path, body)
+                conn.sendall(data)
+                if close == "reset":  # a zero linger time makes close() send a reset
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                if close:
+                    return
+        except OSError:
+            pass  # the client hung up, or the server is stopping
+        finally:
+            with self._lock:
+                self._open.discard(conn)
+            conn.close()
