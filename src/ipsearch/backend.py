@@ -666,11 +666,20 @@ def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, s
     http.client sends them. The proxy is the scheme's (``HTTP_PROXY``, ``HTTPS_PROXY``), else
     ``ALL_PROXY``, with ``http://`` added when it names no scheme; ``NO_PROXY`` hosts go direct.
     A plain-HTTP request goes to the proxy with the absolute URL as its target; an HTTPS one
-    is tunnelled through it. Credentials come from .netrc, else the URL."""
-    parts = urlsplit(url)
-    printable = all("!" <= c <= "~" for c in parts.path)
-    if parts.scheme not in ("http", "https") or not parts.hostname or not printable:
-        raise ProtocolError(f"endpoint {url!r} is not an http or https URL")
+    is tunnelled through it. Credentials come from .netrc, else the URL. An endpoint the client
+    cannot use (not http or https, no host, a bad port, a query or fragment, a non-ASCII path, a
+    space or control character) raises ArgumentError."""
+    unusable = f"endpoint {url!r} is not an http or https URL of the form scheme://host[:port][/path]"
+    try:
+        parts = urlsplit(url)
+        parts.port  # a ValueError when out of range or not a number
+    except ValueError as exc:
+        raise ArgumentError(f"{unusable}: {exc}") from exc
+    # urlsplit drops tabs and newlines, http.client refuses spaces and controls, and a query or
+    # fragment would be dropped from every request target.
+    plain = parts.path.isascii() and not any(c <= " " or c in "?#\x7f" for c in url)
+    if parts.scheme not in ("http", "https") or not parts.hostname or not plain:
+        raise ArgumentError(unusable)
     https = parts.scheme == "https"
     host = parts.hostname if parts.hostname.isascii() else parts.hostname.encode("idna").decode("ascii")
     host = f"[{host.partition('%')[0]}]" if ":" in host else host
@@ -758,7 +767,9 @@ class RemoteBackend(Backend):
     """HTTP client for an inference server speaking the JSON wire protocol.
 
     The constructor performs the /info request and fails fast when the
-    endpoint is unreachable or replies out of schema. Servers may return
+    endpoint is unreachable or replies out of schema (``ProtocolError``), or
+    when its URL is not one the client can use (``ArgumentError``, before any
+    connection; see ``_connection``). Servers may return
     "logits" instead of "probs"; logits are normalized client-side with a
     softmax.
 
@@ -789,6 +800,8 @@ class RemoteBackend(Backend):
         # it to let its wire server stop.
         try:
             self._session, self._target, headers = _connection(self._url, timeout)
+        except ArgumentError:  # the endpoint itself: a ValueError, but no connection failed
+            raise
         except (OSError, ValueError) as exc:
             raise ProtocolError(f"cannot connect to {self._url}: {exc}") from exc
         lines = [f"{name}: {value}\r\n" for name, value in headers.items()]

@@ -105,13 +105,19 @@ def _load_tokenizer(vocab_path: Optional[str]) -> Tokenizer:
     return Tokenizer(mode="whitespace", vocab=vocab, unk_id=unk)
 
 
+_IDS = Tokenizer()  # passthrough
+
+
 def read_records(
     path: str, backend: Backend, tokenizer: Tokenizer
 ) -> list[tuple[str, DialogueContext]]:
     """Parse and validate the JSONL input; errors name the offending line.
 
-    A context passes the library's own checks: ``encode_context`` (non-empty
-    utterances of token ids, no EOU inside one) and the backend's vocabulary.
+    ``tokenizer`` encodes a 'context' record's text; a 'context_tokens'
+    record's ids go through the passthrough rule, with or without a
+    vocabulary. A context passes the library's own checks: ``encode_context``
+    (non-empty utterances of token ids, no EOU inside one) and the backend's
+    vocabulary.
     """
     eou = backend.info.eou_token_id
     records: list[tuple[str, DialogueContext]] = []
@@ -125,13 +131,13 @@ def read_records(
         if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
             raise InputError(f"line {lineno}: record must be an object with a string 'id'")
         if "context_tokens" in doc:
-            raw = doc["context_tokens"]
+            raw, encode = doc["context_tokens"], _IDS.encode
         elif "context" in doc:
             if tokenizer.mode != "whitespace":
                 raise InputError(
                     f"line {lineno}: record uses string 'context' but no --vocab was given"
                 )
-            raw = doc["context"]
+            raw, encode = doc["context"], tokenizer.encode
         else:
             raise InputError(f"line {lineno}: record has neither 'context_tokens' nor 'context'")
         if not isinstance(raw, list) or not raw:
@@ -139,7 +145,7 @@ def read_records(
         utterances: list[list[TokenId]] = []
         for u, utt in enumerate(raw):
             try:
-                utterances.append(tokenizer.encode(utt))
+                utterances.append(encode(utt))
             except ArgumentError as exc:
                 raise InputError(f"line {lineno}: utterance {u}: {exc}") from exc
         ctx = DialogueContext(utterances)

@@ -68,19 +68,13 @@ def greedy_step(probs) -> TokenId:
 
 def _descending(v: np.ndarray, kind: str | None = "stable", k: int = 64):
     """Chunks which, joined, order ``v`` as ``np.argsort(-v, kind=kind)``
-    does (ties may differ if ``kind`` is not stable). If 2k covers ``v``: one
-    chunk, in a tuple, about 0.3 µs cheaper to iterate than a generator."""
-    if 2 * k >= len(v):
-        return (np.argsort(-v, kind=kind),)
-    return _chunks(-v, kind, k)
-
-
-def _chunks(neg: np.ndarray, kind: str | None, k: int):
-    # A chunk: the ids not yet taken at or above their k-th value (ties stay
-    # whole), sorted. k grows x4; once 2k covers what is left, all of it.
-    ids = None  # the ids not yet taken, once some are
+    does (ties may differ if ``kind`` is not stable). A chunk: the ids not
+    yet taken at or above their k-th value (ties stay whole), sorted; k grows
+    x4, and once 2k covers what is left, all of it. So a vector that 2k
+    covers is one chunk, and a NaN k-th value (fewer than k non-NaN ids
+    left) gives an empty one."""
+    neg, ids = -v, None  # ids: the ids not yet taken, once some are
     while 2 * k < len(neg):
-        # Empty when fewer than k non-NaN ids are left: the k-th is NaN.
         head = neg <= np.partition(neg, k - 1)[k - 1]
         top = np.flatnonzero(head)
         top = top[np.argsort(neg[top], kind=kind)]
@@ -88,24 +82,22 @@ def _chunks(neg: np.ndarray, kind: str | None, k: int):
         rest = np.flatnonzero(~head)
         ids, neg = rest if ids is None else ids[rest], neg[rest]
         k *= 4
-    yield ids[np.argsort(neg, kind=kind)]
+    order = np.argsort(neg, kind=kind)
+    yield order if ids is None else ids[order]
 
 
 def topk_set(probs, k: int) -> list[TokenId]:
-    """The k highest-probability ids, ties resolved toward lower ids first;
-    only the ids at or above the k-th value are sorted (a `_descending` chunk)."""
+    """The k highest-probability ids, ties resolved toward lower ids first:
+    the head of `_descending`'s first chunk, or of every chunk when that one
+    is empty (a NaN k-th value)."""
     v = _as_probs(probs)
     if not _is_int(k) or not 1 <= k <= v.shape[0]:
         raise RangeError("k", f"must be an integer in [1, {v.shape[0]}], got {k!r}")
-    neg = -v
-    # The ids at or above the k-th largest value, in id order, hold the
-    # answer without sorting the others. A NaN k-th value (fewer than k
-    # non-NaN entries) selects none, so every id is sorted.
-    top = np.flatnonzero(neg <= np.partition(neg, k - 1)[k - 1])
+    chunks = _descending(v, "stable", k)
+    top = next(chunks)
     if len(top) < k:
-        top = np.arange(len(v))
-    # The stable sort keeps tied ids in ascending order.
-    return top[np.argsort(neg[top], kind="stable")][:k].tolist()
+        top = np.concatenate(tuple(chunks))
+    return top[:k].tolist()
 
 
 def nucleus_set(probs, p: float) -> list[TokenId]:

@@ -159,6 +159,22 @@ class TestGenerate:
         docs = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(isinstance(d["text"], str) for d in docs)
 
+    def test_vocab_leaves_id_records_as_they_are(self, tmp_path):
+        # One file of an id record and a text record runs under --vocab, and
+        # the id record decodes as it does without one.
+        records = tmp_path / "mixed.jsonl"
+        write_records(records, [{"id": "ids", "context_tokens": [[5, 6], [7, 8, 9]]},
+                                {"id": "text", "context": ["hello how are you"]}])
+        base = ["generate", "--backend", TINY, "--strategy", "greedy", "--max-new-tokens", 3]
+        assert run([*base, "--input", records, "--vocab", FIXTURES / "vocab_demo.json",
+                    "--output", tmp_path / "vocab.jsonl"]) == 0
+        write_records(records, [{"id": "ids", "context_tokens": [[5, 6], [7, 8, 9]]}])
+        assert run([*base, "--input", records, "--output", tmp_path / "ids.jsonl"]) == 0
+        with_vocab = [json.loads(line) for line in (tmp_path / "vocab.jsonl").read_text().splitlines()]
+        (without,) = [json.loads(line) for line in (tmp_path / "ids.jsonl").read_text().splitlines()]
+        assert [d["id"] for d in with_vocab] == ["ids", "text"]
+        assert with_vocab[0]["tokens"] == without["tokens"]
+
     def test_string_context_without_vocab_rejected(self, tmp_path, capsys):
         code = run(["generate", "--input", FIXTURES / "dialogues_text.jsonl",
                     "--backend", TINY, "--strategy", "greedy",
@@ -351,6 +367,7 @@ FAILURES = {
         {"--input": "text.jsonl", "--vocab": "bool_vocab.json"}, 2, "must map words to integer ids"
     ),
     "bad-config-value": ({"--alpha": "2"}, 2, "bad config: alpha"),
+    "bad-remote-url": ({"--backend": "remote:ftp://x"}, 2, "not an http or https URL"),
     "unwritable-output": ({"--output": "no_dir/out"}, 2, "no_dir"),
     "backend-failure": (
         {"--input": "unscripted.jsonl", "--backend": SCRIPTED, "--m": "4", "--first-k": "4"},

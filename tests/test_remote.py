@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import socket
 import ssl
@@ -191,6 +192,20 @@ def test_no_proxy_matches_an_ipv6_endpoint(proxy_env):
 def test_unreachable_endpoint_fails_at_startup():
     with pytest.raises(ProtocolError):
         RemoteBackend("http://127.0.0.1:1")
+
+
+@pytest.mark.parametrize("endpoint", [
+    "ftp://x", "", "http:///nohost", "http://a b", "http://h:99999", "http://h:x", "http://[::1",
+    "{raw}/a b", "{raw}/a\tb", "{raw}/api?x=1", "{raw}?x=1", "{raw}/#top",
+])
+def test_an_unusable_endpoint_is_refused_before_any_connection(endpoint):
+    # An ArgumentError names the endpoint. A query or fragment would be
+    # dropped from every request target, and urlsplit drops a tab unseen.
+    with RawServer(lambda method, path, body: (b"", True)) as server:
+        url = endpoint.format(raw=server.url)
+        with pytest.raises(ArgumentError, match=f"endpoint {re.escape(repr(url))} is not an http or https URL"):
+            RemoteBackend(url, timeout=5)
+    assert server.connections == 0
 
 
 def test_timeout(wrapped):

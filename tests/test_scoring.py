@@ -1,6 +1,8 @@
 """Scoring formula oracles and algebraic properties."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,16 @@ def test_error_contract(case):
     call, error = ERROR_CONTRACT[case]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("a", [[1e200, 1.0], [[1.0, 0.0], [1e200, 1.0]]], ids=["vector", "matrix-row"])
+def test_an_overflowing_norm_is_degenerate_where_warnings_are_errors(a):
+    # Squaring 1e200 overflows: numpy's RuntimeWarning, an error here, is
+    # not the error the contract names.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateVectorError, match="not finite"):
+            cosine(a, [1.0, 2.0])
 
 
 rows3 = st.lists(vec3, min_size=1, max_size=6)

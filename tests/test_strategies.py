@@ -93,6 +93,13 @@ class TestTopkStep:
     def test_set_tie_breaks_low_first(self):
         assert topk_set([0.4, 0.3, 0.3], 2) == [0, 1]
 
+    def test_set_with_fewer_non_nan_ids_than_k(self):
+        # A NaN k-th value: the helper's first chunk is empty, so the set
+        # comes from the full order, NaN ids last in id order.
+        probs = np.full(10, np.nan)
+        probs[[7, 2]] = [0.5, 0.25]
+        assert topk_set(probs, 4) == o_topk_full_sort(probs, 4) == [7, 2, 0, 1]
+
 
 class TestNucleusStep:
     def test_whole_mass_nucleus(self):

@@ -80,7 +80,9 @@ class BackendHTTPServer:
         if tls is not None:
             self._httpd.socket = tls.wrap_socket(self._httpd.socket, server_side=True)
             self._scheme = "https"
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def url(self) -> str:
@@ -196,7 +198,9 @@ class ForwardingProxy:
         self.targets: list[str] = []
         self.proxy_authorization: list[str | None] = []
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), self._handler_class())
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def url(self) -> str:
