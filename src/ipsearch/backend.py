@@ -18,7 +18,6 @@ import os
 import ssl
 import threading
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -415,9 +414,10 @@ class TinyTransformer(Backend):
     own session: a probe on one never changes what another's ``extend``
     reads.
 
-    With the pass it keeps the probes run over it, at most ``max_seq_len``
-    rows (the memory of a pass of that length), oldest out first, so a run
-    of probes longer than that gets no hits. A probe that repeats one over
+    With the pass it keeps the probes run over it: the first that fit in
+    ``max_seq_len`` rows (the memory of a pass of that length), none ever
+    evicted, so of a run of probes longer than that the first
+    ``max_seq_len`` rows hit. A probe that repeats one over
     rows that came the same way gets its rows bitwise and runs no pass, so
     replies on one context share their probes. They go with the pass; a
     session holds only its own rows. All of it is safe across threads.
@@ -558,10 +558,11 @@ class TinyTransformer(Backend):
         return StepOutput(session.probs, h[-1], h if want_all_hidden else None)
 
 
-class _Probes(OrderedDict):
+class _Probes(dict):
     """The probes run over one kept pass, (provenance, candidate ids) ->
-    (read-only hidden states, keys and values, the object naming the probe),
-    at most ``bound`` rows, oldest out first. Added to under ``lock`` and never iterated."""
+    (read-only hidden states, keys and values, the object naming the probe):
+    the first that fit in ``bound`` rows, none evicted. Added to under
+    ``lock``, never iterated."""
 
     def __init__(self, bound: int):
         super().__init__()
@@ -615,10 +616,8 @@ class _TinySession(Session):
             run = _read_only(h), rows, object()
             if probes is not None:
                 with probes.lock:
-                    if probes.setdefault(key, run) is run:
+                    if probes.rows + len(ids) <= probes.bound and probes.setdefault(key, run) is run:
                         probes.rows += len(ids)
-                    while probes.rows > probes.bound:
-                        probes.rows -= len(probes.popitem(last=False)[0][1])
         for i, c in enumerate(ids):
             self._probed[c] = run, i
         return run[0]
@@ -667,13 +666,14 @@ def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, s
     ``ALL_PROXY``, with ``http://`` added when it names no scheme; ``NO_PROXY`` hosts go direct.
     A plain-HTTP request goes to the proxy with the absolute URL as its target; an HTTPS one
     is tunnelled through it. Credentials come from .netrc, else the URL. An endpoint the client
-    cannot use (not http or https, no host, a bad port, a query or fragment, a non-ASCII path, a
-    space or control character) raises ArgumentError."""
+    cannot use (not http or https, no host, a host IDNA cannot encode, a bad port, a query or
+    fragment, a non-ASCII path, a space or control character) raises ArgumentError."""
     unusable = f"endpoint {url!r} is not an http or https URL of the form scheme://host[:port][/path]"
     try:
         parts = urlsplit(url)
         parts.port  # a ValueError when out of range or not a number
-    except ValueError as exc:
+        host = (parts.hostname or "").encode("idna").decode("ascii")  # the socket's rule for a label
+    except ValueError as exc:  # UnicodeError among them
         raise ArgumentError(f"{unusable}: {exc}") from exc
     # urlsplit drops tabs and newlines, http.client refuses spaces and controls, and a query or
     # fragment would be dropped from every request target.
@@ -681,7 +681,6 @@ def _connection(url: str, timeout: float) -> tuple[http.client.HTTPConnection, s
     if parts.scheme not in ("http", "https") or not parts.hostname or not plain:
         raise ArgumentError(unusable)
     https = parts.scheme == "https"
-    host = parts.hostname if parts.hostname.isascii() else parts.hostname.encode("idna").decode("ascii")
     host = f"[{host.partition('%')[0]}]" if ":" in host else host
     host += "" if parts.port in (None, 443 if https else 80) else f":{parts.port}"
     headers = {"Host": host, "Accept-Encoding": "identity"}
@@ -793,6 +792,8 @@ class RemoteBackend(Backend):
             raise ArgumentError(
                 f"timeout must be a positive number of seconds up to {threading.TIMEOUT_MAX}, got {timeout!r}"
             )
+        if not isinstance(endpoint_url, str):
+            raise ArgumentError(f"endpoint {endpoint_url!r} is not an http or https URL: not a string")
         self._url = endpoint_url.rstrip("/")
         self._timeout = timeout
         self._lock = threading.Lock()  # one exchange on the connection at a time

@@ -7,6 +7,7 @@ representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import DialogueContext, TokenId, _is_integer
@@ -79,11 +80,14 @@ class Tokenizer:
             raise ArgumentError("whitespace tokenizer accepts strings only")
         return [self.vocab.get(w, self.unk_id) for w in utterance.split()]
 
+    @cached_property
+    def _words(self) -> dict[int, str]:
+        """id -> the first word in the vocab that maps to it (written last, so it stays)."""
+        return {tid: word for word, tid in reversed(list(self.vocab.items()))}
+
     def decode(self, tokens: Sequence[TokenId]) -> Optional[str]:
-        """Whitespace-join the words for ids in the vocab; None in passthrough mode."""
+        """Whitespace-join the ids' words, ``<id>`` for an id not in the vocab;
+        None in passthrough mode. The vocab is read once, on the first call."""
         if self.mode == "passthrough":
             return None
-        inverse: dict[int, str] = {}
-        for word, tid in self.vocab.items():
-            inverse.setdefault(tid, word)
-        return " ".join(inverse.get(int(t), f"<{int(t)}>") for t in tokens)
+        return " ".join(self._words.get(int(t), f"<{int(t)}>") for t in tokens)

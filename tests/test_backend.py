@@ -32,6 +32,10 @@ class TestBackendInfo:
         with pytest.raises(ValidationError):
             BackendInfo(vocab_size=1, hidden_dim=2, eou_token_id=0)
 
+    def test_rejects_zero_hidden_dim(self):
+        with pytest.raises(ValidationError, match="hidden_dim must be >= 1, got 0"):
+            BackendInfo(vocab_size=4, hidden_dim=0, eou_token_id=3)
+
     def test_rejects_eou_out_of_range(self):
         with pytest.raises(ValidationError):
             BackendInfo(vocab_size=4, hidden_dim=2, eou_token_id=4)
@@ -81,6 +85,11 @@ class TestScriptedBackend:
     def test_negative_probs_rejected(self):
         bad = {(1,): StepOutput(probs=np.array([1.2, -0.1, -0.1, 0.0]), hidden_last=np.array([1.0, 0.0]))}
         with pytest.raises(ValidationError):
+            ScriptedBackend(small_info(), bad)
+
+    def test_out_of_vocabulary_prefix_rejected(self):
+        bad = {(1, 4): self.table()[(1,)]}
+        with pytest.raises(ValidationError, match=r"table prefix \[1, 4\] contains out-of-vocabulary ids"):
             ScriptedBackend(small_info(), bad)
 
     def test_wrong_hidden_dim_rejected(self):

@@ -357,6 +357,8 @@ FAILURES = {
     "non-utf8-config": ({"--config": "non_utf8"}, 2, "cannot read config"),
     "non-utf8-vocab": ({"--vocab": "non_utf8"}, 2, "cannot read vocab file"),
     "malformed-json": ({"--input": "malformed.jsonl"}, 2, "line 2: invalid JSON"),
+    "json-after-a-blank-line": ({"--input": "blank_then_malformed.jsonl"}, 2, "line 3: invalid JSON"),
+    "empty-context": ({"--input": "empty_context.jsonl"}, 2, "line 1: context must be a non-empty list"),
     "out-of-vocab-id": ({"--input": "oov.jsonl"}, 2, "line 2: token id 999 outside vocabulary of size 64"),
     "eou-in-utterance": ({"--input": "eou.jsonl"}, 2, "line 1: utterance 0 contains the EOU id 63"),
     "number-utterance": ({"--input": "number_utt.jsonl"}, 2, "line 1: utterance 1"),
@@ -368,11 +370,21 @@ FAILURES = {
     ),
     "bad-config-value": ({"--alpha": "2"}, 2, "bad config: alpha"),
     "bad-remote-url": ({"--backend": "remote:ftp://x"}, 2, "not an http or https URL"),
+    "long-remote-label": ({"--backend": "remote:http://" + "a" * 64 + ".com"}, 2, "not an http or https URL"),
+    "spec-without-colon": ({"--backend": "tiny"}, 2, "backend spec 'tiny' has no ':'"),
+    "tiny-spec-arity": ({"--backend": "tiny:42,64,16,2"}, 2, "tiny backend spec needs seed,V,d,L,H"),
+    "unknown-backend-kind": ({"--backend": "gpu:0"}, 2, "unknown backend kind 'gpu'"),
+    "scripted-not-json": (
+        {"--backend": "scripted:malformed.jsonl"}, 2, "scripted backend file is not valid JSON"
+    ),
     "unwritable-output": ({"--output": "no_dir/out"}, 2, "no_dir"),
     "backend-failure": (
         {"--input": "unscripted.jsonl", "--backend": SCRIPTED, "--m": "4", "--first-k": "4"},
         3,
         "no table entry for prefix [1, 4]",
+    ),
+    "unreachable-remote": (
+        {"--backend": "remote:http://127.0.0.1:1"}, 3, "backend 'remote:http://127.0.0.1:1' unavailable"
     ),
 }
 
@@ -382,6 +394,8 @@ ROWS = [(c, f) for c in COMMANDS for f in FAILURES] + [("heatmap", "unknown-reco
 def failure_files(tmp_path: Path) -> None:
     (tmp_path / "non_utf8").write_bytes(b"\xff\xfe")
     (tmp_path / "malformed.jsonl").write_text('{"id": "a", "context_tokens": [[1]]}\n{oops\n')
+    (tmp_path / "blank_then_malformed.jsonl").write_text('{"id": "a", "context_tokens": [[1]]}\n \n{oops\n')
+    write_records(tmp_path / "empty_context.jsonl", [{"id": "a", "context_tokens": []}])
     write_records(tmp_path / "oov.jsonl", [{"id": "a", "context_tokens": [[1]]},
                                            {"id": "b", "context_tokens": [[999]]}])
     write_records(tmp_path / "eou.jsonl", [{"id": "a", "context_tokens": [[5, 63]]}])
@@ -457,12 +471,14 @@ def test_compare_checks_every_config_before_decoding(tmp_path, records_file, mon
     calls = []
     monkeypatch.setattr(cli, "generate", lambda *a: calls.append(a))
     unwritable = tmp_path / "missing" / "o.json"
-    for strategies, output, message in [
-        ("greedy,ips,bogus", tmp_path / "o.json", "bad config: strategy"),
-        ("greedy,ips", unwritable, str(unwritable)),  # found before the first decode
+    for strategies, seeds, output, message in [
+        ("greedy,ips,bogus", "1,2", tmp_path / "o.json", "bad config: strategy"),
+        ("greedy,ips", "1,2", unwritable, str(unwritable)),  # found before the first decode
+        ("greedy,ips", "1,x", tmp_path / "o.json", "bad --seeds value '1,x'"),
+        (" , ", "1,2", tmp_path / "o.json", "compare needs at least one strategy and one seed"),
     ]:
         code = run(["compare", "--input", records_file, "--backend", TINY,
-                    "--strategies", strategies, "--seeds", "1,2", "--output", output])
+                    "--strategies", strategies, "--seeds", seeds, "--output", output])
         assert code == 2
         assert message in capsys.readouterr().err
         assert calls == []

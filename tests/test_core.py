@@ -44,6 +44,7 @@ class TestValidateConfig:
             ("max_new_tokens", 0),
             ("seed", -1),
             ("seed", 2**64),
+            ("strict_isotropy", "yes"),
         ],
     )
     def test_each_bound_names_its_field(self, field, value):
@@ -114,6 +115,10 @@ class TestDialogueContext:
         with pytest.raises(ArgumentError, match="utterance 1 is not a list of token ids"):
             DialogueContext([[3], bad]).validate()
         assert DialogueContext([[3], (4, 5)]).validate()
+
+    def test_a_context_has_an_utterance(self):
+        with pytest.raises(ArgumentError, match="must contain at least one utterance"):
+            DialogueContext([]).validate()
 
     def test_numpy_integers_decode_as_ints(self, tiny_backend):
         cfg = StrategyConfig(strategy="ips", max_new_tokens=6, seed=1)

@@ -129,6 +129,10 @@ class TestTokenizer:
         tok = Tokenizer(mode="whitespace", vocab={"hi": 1, "there": 2}, unk_id=0)
         assert tok.encode("hi there stranger") == [1, 2, 0]
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ArgumentError, match="unknown tokenizer mode 'bpe'"):
+            Tokenizer(mode="bpe")
+
     def test_whitespace_requires_vocab(self):
         with pytest.raises(ArgumentError):
             Tokenizer(mode="whitespace")
@@ -137,3 +141,22 @@ class TestTokenizer:
         tok = Tokenizer(mode="whitespace", vocab={"hi": 1, "there": 2, "<unk>": 0}, unk_id=0)
         assert tok.decode([1, 2]) == "hi there"
         assert tok.decode([1, 9]) == "hi <9>"
+
+    def test_decode_reads_the_vocab_once(self):
+        # The first word of an id wins, on every call.
+        class Counted(dict):
+            reads = 0
+
+            def items(self):
+                Counted.reads += 1
+                return super().items()
+
+        tok = Tokenizer(mode="whitespace", vocab=Counted(hi=1, hello=1, there=2), unk_id=0)
+        for _ in range(3):
+            assert tok.decode([1, 2, 7]) == "hi there <7>"
+        assert Counted.reads == 1
+
+    def test_whitespace_refuses_an_utterance_that_is_not_a_string(self):
+        tok = Tokenizer(mode="whitespace", vocab={"hi": 1}, unk_id=0)
+        with pytest.raises(ArgumentError, match="whitespace tokenizer accepts strings only"):
+            tok.encode(["hi"])

@@ -166,6 +166,8 @@ class TestHeatmapCsv:
             ("a,b\na,1.0,0.5\nb,0.5\n", "row 3 has 2 fields, expected 3"),  # ragged body
             ("a,b\na,1.0,0.5\nb,x,1.0\n", "row 3: could not convert string to float: 'x'"),
             ("a,b\na,nan,0.5\nb,0.5,inf\n", "row 2 holds a non-finite value"),
+            ("", "heatmap file is empty"),
+            ("a,b\na,1.0,0.5\n", r"body shape \(1, 2\) does not match header"),  # a row short
         ],
     )
     def test_malformed_body_is_an_argument_error(self, tmp_path, text, problem):

@@ -196,7 +196,7 @@ def test_unreachable_endpoint_fails_at_startup():
 
 @pytest.mark.parametrize("endpoint", [
     "ftp://x", "", "http:///nohost", "http://a b", "http://h:99999", "http://h:x", "http://[::1",
-    "{raw}/a b", "{raw}/a\tb", "{raw}/api?x=1", "{raw}?x=1", "{raw}/#top",
+    "{raw}/a b", "{raw}/a\tb", "{raw}/api?x=1", "{raw}?x=1", "{raw}/#top", "http://" + "a" * 64 + ".com",
 ])
 def test_an_unusable_endpoint_is_refused_before_any_connection(endpoint):
     # An ArgumentError names the endpoint. A query or fragment would be
@@ -206,6 +206,14 @@ def test_an_unusable_endpoint_is_refused_before_any_connection(endpoint):
         with pytest.raises(ArgumentError, match=f"endpoint {re.escape(repr(url))} is not an http or https URL"):
             RemoteBackend(url, timeout=5)
     assert server.connections == 0
+
+
+@pytest.mark.parametrize("endpoint", [None, 5, b"http://x"], ids=repr)
+def test_an_endpoint_that_is_not_a_string_is_refused_before_any_connection(monkeypatch, endpoint):
+    monkeypatch.setattr(ipsearch.backend, "_connection", lambda *args: pytest.fail("connected"))
+    message = f"^endpoint {re.escape(repr(endpoint))} is not an http or https URL"
+    with pytest.raises(ArgumentError, match=message):
+        RemoteBackend(endpoint)
 
 
 def test_timeout(wrapped):

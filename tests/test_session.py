@@ -368,8 +368,8 @@ def test_kept_probes_are_keyed_on_how_the_rows_came():
 
 def test_kept_probes_are_bounded_by_max_seq_len(monkeypatch):
     # 7 batches of 6 rows, and one of 40, over one kept pass of a model that
-    # keeps at most 32 probe rows: the newest batches that fit are kept, a
-    # batch larger than the bound never is, and the oldest went.
+    # keeps at most 32 probe rows: the first batches that fit are kept, a
+    # batch larger than the bound never is, and nothing is evicted.
     model = TinyTransformer(**TINY_ARGS, max_seq_len=32)
     passes = count_passes(monkeypatch, model)
     session = model.open([5, 6, 7, 63])
@@ -377,11 +377,11 @@ def test_kept_probes_are_bounded_by_max_seq_len(monkeypatch):
     for batch in [list(range(40))] + batches:
         session.probe(batch)
     hits = []
-    for batch in reversed(batches):  # newest first, so a miss evicts only older batches
+    for batch in reversed(batches):  # newest first: the last two came after the table was full
         before = passes["probe"]
         session.probe(batch)
         hits.append(passes["probe"] == before)
-    assert hits == [True] * 5 + [False] * 2
+    assert hits == [False] * 2 + [True] * 5
     before = passes["probe"]
     session.probe(list(range(40)))
     assert passes["probe"] == before + 1

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipsearch import (
+    ArgumentError,
     BackendInfo,
     CandidateScore,
     DialogueContext,
@@ -92,6 +93,10 @@ class TestTopkStep:
 
     def test_set_tie_breaks_low_first(self):
         assert topk_set([0.4, 0.3, 0.3], 2) == [0, 1]
+
+    def test_set_of_a_matrix_is_refused(self):
+        with pytest.raises(ArgumentError, match=r"must be 1-D and non-empty, got shape \(2, 2\)"):
+            topk_set([[0.5, 0.5], [0.5, 0.5]], 1)
 
     def test_set_with_fewer_non_nan_ids_than_k(self):
         # A NaN k-th value: the helper's first chunk is empty, so the set
